@@ -259,7 +259,7 @@ func (rc runConfig) distributionTechnique() string {
 
 // replayArtifact prints the table and summary for a recorded grid run.
 func replayArtifact(w io.Writer, path string) error {
-	a, err := experiments.ReadArtifactFile(path)
+	a, err := experiments.ReadFile[experiments.Artifact](path)
 	if err != nil {
 		return err
 	}
@@ -332,7 +332,7 @@ func runHeadline(ctx context.Context, opts experiments.Options, jsonDir string, 
 
 	// Compare before any stripping so -deterministic and -against compose.
 	if against != "" {
-		baseline, err := experiments.ReadArtifactFile(against)
+		baseline, err := experiments.ReadFile[experiments.Artifact](against)
 		if err != nil {
 			return fmt.Errorf("baseline %s: %w", against, err)
 		}
@@ -354,7 +354,7 @@ func runHeadline(ctx context.Context, opts experiments.Options, jsonDir string, 
 	if err := os.MkdirAll(jsonDir, 0o755); err != nil {
 		return err
 	}
-	path, err := experiments.WriteArtifactFile(jsonDir, a)
+	path, err := experiments.WriteFile(jsonDir, a.Name, a)
 	if err != nil {
 		return err
 	}
@@ -451,7 +451,7 @@ func writeArtifacts(dir string, deterministic bool, opts experiments.Options, ce
 		if deterministic {
 			a.StripTiming()
 		}
-		path, err := experiments.WriteArtifactFile(dir, a)
+		path, err := experiments.WriteFile(dir, a.Name, a)
 		if err != nil {
 			return err
 		}

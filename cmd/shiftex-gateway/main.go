@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/gateway"
+	"repro/internal/serve"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
@@ -95,18 +96,20 @@ func run(args []string) error {
 			names = strings.Split(*models, ",")
 		}
 		return runLoadgen(cp, gateway.LoadConfig{
-			URL:             strings.TrimRight(*url, "/"),
-			Models:          names,
-			Token:           *token,
-			TargetQPS:       *qps,
-			Concurrency:     *concurrency,
-			Repeat:          *repeat,
-			MaxDuration:     *duration,
-			Retries:         *retries,
-			KillPid:         *killPid,
-			KillAtFraction:  *killAt,
-			SamplesPerParty: *samples,
-			TestPerParty:    *testN,
+			LoadConfig: serve.LoadConfig{
+				TargetQPS:       *qps,
+				Concurrency:     *concurrency,
+				Repeat:          *repeat,
+				MaxDuration:     *duration,
+				SamplesPerParty: *samples,
+				TestPerParty:    *testN,
+			},
+			URL:            strings.TrimRight(*url, "/"),
+			Models:         names,
+			Token:          *token,
+			Retries:        *retries,
+			KillPid:        *killPid,
+			KillAtFraction: *killAt,
 		}, *jsonDir)
 	}
 
@@ -195,11 +198,9 @@ func runLoadgen(cp *service.Checkpoint, lcfg gateway.LoadConfig, jsonDir string)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("loadgen: %d predictions in %.2fs (%.0f/s), p50=%s p90=%s p99=%s, accuracy=%.3f\n",
-		res.Requests, res.Duration.Seconds(), res.Throughput(),
-		res.LatencyP50, res.LatencyP90, res.LatencyP99, res.Accuracy())
+	res.Print(os.Stdout)
 	fmt.Printf("  errors=%d retried=%d rejected=%d gateway-cached=%d failovers=%d evictions=%d readmissions=%d\n",
-		res.Errors, res.Retried, res.Rejected, res.GatewayCached,
+		res.Errors, res.Retried, res.Rejected, res.Cached,
 		res.Gateway.Failovers, res.Gateway.Evictions, res.Gateway.Readmissions)
 	for _, m := range res.Gateway.Models {
 		line := fmt.Sprintf("  model %-10s replicas=%d healthy=%d", m.Name, len(m.Replicas), m.HealthyReplicas)
@@ -216,7 +217,8 @@ func runLoadgen(cp *service.Checkpoint, lcfg gateway.LoadConfig, jsonDir string)
 		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
 			return err
 		}
-		path, err := experiments.WriteGatewayArtifactFile(jsonDir, res.Artifact(cp, lcfg))
+		a := res.Artifact(cp, lcfg)
+		path, err := experiments.WriteFile(jsonDir, a.Name, a)
 		if err != nil {
 			return err
 		}
@@ -229,7 +231,7 @@ func runLoadgen(cp *service.Checkpoint, lcfg gateway.LoadConfig, jsonDir string)
 // gates: zero errors, and (when asked) minimum affinity retention and
 // throughput.
 func checkArtifact(path string, minAffinity, minThroughput float64) error {
-	a, err := experiments.ReadGatewayArtifactFile(path)
+	a, err := experiments.ReadFile[experiments.GatewayArtifact](path)
 	if err != nil {
 		return err
 	}

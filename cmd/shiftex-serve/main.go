@@ -381,7 +381,7 @@ func registerWithGateway(gatewayURL, model, addr string) {
 // and emits a GitHub-annotation warning on a >20% regression — a warning,
 // not a failure, because absolute throughput is machine-dependent.
 func checkArtifact(path string, minThroughput, minMeanBatch float64, against string) error {
-	a, err := experiments.ReadServingArtifactFile(path)
+	a, err := experiments.ReadFile[experiments.ServingArtifact](path)
 	if err != nil {
 		return err
 	}
@@ -397,7 +397,7 @@ func checkArtifact(path string, minThroughput, minMeanBatch float64, against str
 		return fmt.Errorf("mean batch size %.2f below required %.2f (micro-batching did not engage)", a.MeanBatch, minMeanBatch)
 	}
 	if against != "" {
-		base, err := experiments.ReadServingArtifactFile(against)
+		base, err := experiments.ReadFile[experiments.ServingArtifact](against)
 		if err != nil {
 			return fmt.Errorf("baseline: %w", err)
 		}
@@ -430,7 +430,7 @@ func runTracebench(cp *service.Checkpoint, lcfg serve.LoadConfig, cfg serve.Conf
 		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
 			return err
 		}
-		path, err := experiments.WriteTracingArtifactFile(jsonDir, a)
+		path, err := experiments.WriteFile(jsonDir, a.Name, a)
 		if err != nil {
 			return err
 		}
@@ -446,7 +446,7 @@ func runTracebench(cp *service.Checkpoint, lcfg serve.LoadConfig, cfg serve.Conf
 // overhead gate — the smoke tests' machine-checkable gate on the
 // "tracing is near-free" claim.
 func checkTracingArtifact(path string, maxOverhead float64) error {
-	a, err := experiments.ReadTracingArtifactFile(path)
+	a, err := experiments.ReadFile[experiments.TracingArtifact](path)
 	if err != nil {
 		return err
 	}
@@ -495,7 +495,7 @@ func runDriftbench(cp *service.Checkpoint, lcfg serve.LoadConfig, cfg serve.Conf
 		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
 			return err
 		}
-		path, err := experiments.WriteDriftArtifactFile(jsonDir, a)
+		path, err := experiments.WriteFile(jsonDir, a.Name, a)
 		if err != nil {
 			return err
 		}
@@ -511,7 +511,7 @@ func runDriftbench(cp *service.Checkpoint, lcfg serve.LoadConfig, cfg serve.Conf
 // overhead gate — the smoke tests' machine-checkable gate on the "the
 // monitor catches shifts and is near-free" claim.
 func checkDriftArtifact(path string, maxOverhead float64) error {
-	a, err := experiments.ReadDriftArtifactFile(path)
+	a, err := experiments.ReadFile[experiments.DriftArtifact](path)
 	if err != nil {
 		return err
 	}
@@ -548,7 +548,7 @@ func runAdaptbench(cp *service.Checkpoint, bcfg continual.BenchConfig, jsonDir s
 		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
 			return err
 		}
-		path, err := experiments.WriteAdaptLiveArtifactFile(jsonDir, a)
+		path, err := experiments.WriteFile(jsonDir, a.Name, a)
 		if err != nil {
 			return err
 		}
@@ -561,7 +561,7 @@ func runAdaptbench(cp *service.Checkpoint, bcfg continual.BenchConfig, jsonDir s
 // closed-loop gate — the smoke tests' machine-checkable gate on the "the
 // serving tier adapts to live drift end to end" claim.
 func checkAdaptArtifact(path string) error {
-	a, err := experiments.ReadAdaptLiveArtifactFile(path)
+	a, err := experiments.ReadFile[experiments.AdaptLiveArtifact](path)
 	if err != nil {
 		return err
 	}
@@ -602,7 +602,7 @@ func writeMetrics(path string, m serve.MetricsSnapshot) error {
 func runLoadgen(srv *serve.Server, cp *service.Checkpoint, cfg serve.Config, lcfg serve.LoadConfig, mon *monitor.Monitor, jsonDir string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	res, err := serve.RunLoad(ctx, srv, cp, lcfg)
+	res, err := serve.RunServerLoad(ctx, srv, cp, lcfg)
 	if err != nil {
 		return err
 	}
@@ -631,16 +631,8 @@ func runLoadgen(srv *serve.Server, cp *service.Checkpoint, cfg serve.Config, lcf
 		}
 		mon.Close()
 	}
-	fmt.Printf("loadgen: %d predictions in %.2fs (%.0f/s), p50=%s p90=%s p99=%s, accuracy=%.3f routing=%.3f meanBatch=%.2f\n",
-		res.Requests, res.Duration.Seconds(), res.Throughput(),
-		res.LatencyP50, res.LatencyP90, res.LatencyP99, res.Accuracy(), res.RoutingAccuracy(), res.Server.MeanBatch)
-	for _, g := range res.Regimes {
-		fmt.Printf("  regime %-10s %6d requests  accuracy=%.3f  routed-to-assigned=%.3f  matched=%.3f\n",
-			g.Regime, g.Requests,
-			float64(g.Correct)/float64(g.Requests),
-			float64(g.RoutedToAssigned)/float64(g.Requests),
-			float64(g.Matched)/float64(g.Requests))
-	}
+	res.Print(os.Stdout)
+	fmt.Printf("  errors=%d rejected=%d meanBatch=%.2f swaps=%d\n", res.Errors, res.Rejected, res.Server.MeanBatch, res.Server.Swaps)
 	if res.Errors > 0 {
 		return fmt.Errorf("loadgen: %d requests errored", res.Errors)
 	}
@@ -648,7 +640,8 @@ func runLoadgen(srv *serve.Server, cp *service.Checkpoint, cfg serve.Config, lcf
 		if err := os.MkdirAll(jsonDir, 0o755); err != nil {
 			return err
 		}
-		path, err := experiments.WriteServingArtifactFile(jsonDir, res.Artifact(cp, lcfg, cfg))
+		a := res.Artifact(cp, lcfg, cfg)
+		path, err := experiments.WriteFile(jsonDir, a.Name, a)
 		if err != nil {
 			return err
 		}

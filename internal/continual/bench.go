@@ -4,9 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataset"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/serve"
 	"repro/internal/service"
-	"repro/internal/tensor"
 )
 
 // BenchConfig tunes the closed-loop adaptation benchmark.
@@ -61,7 +59,7 @@ func (c BenchConfig) withDefaults() BenchConfig {
 		c.Concurrency = 2 * runtime.GOMAXPROCS(0)
 	}
 	if c.Corruption.IsIdentity() {
-		c.Corruption = dataset.Corruption{Kind: dataset.CorruptFrost, Severity: 5}
+		c.Corruption = serve.DefaultShift
 	}
 	if c.CalibrationTimeout <= 0 {
 		c.CalibrationTimeout = 60 * time.Second
@@ -72,71 +70,33 @@ func (c BenchConfig) withDefaults() BenchConfig {
 	return c
 }
 
-// evalTally scores one deterministic evaluation pass.
-type evalTally struct {
-	requests int
-	correct  int
-	known    int
-	routed   int
-	errs     uint64
+// evalPass replays items once through a single client against srv — the
+// deterministic scoring pass of the frozen and the adapted snapshot.
+func evalPass(ctx context.Context, srv *serve.Server, items []serve.WorkItem) (*serve.LoadResult, error) {
+	res, err := serve.RunLoad(ctx, srv.Target(), items, serve.LoadConfig{Concurrency: 1})
+	if err == nil && res.Errors+res.Rejected > 0 {
+		err = fmt.Errorf("continual: evaluation pass failed %d requests", res.Errors+res.Rejected)
+	}
+	return res, err
 }
 
-func (t evalTally) accuracy() float64 {
-	if t.requests == 0 {
-		return 0
-	}
-	return float64(t.correct) / float64(t.requests)
-}
-
-func (t evalTally) routing() float64 {
-	if t.known == 0 {
-		return 0
-	}
-	return float64(t.routed) / float64(t.known)
-}
-
-// evalStream replays the items once against srv and scores accuracy and
-// routed-to-assigned, with the assigned expert resolved per item by the
-// caller (checkpoint assignment for the frozen pass, post-window assignment
-// for the adapted pass).
-func evalStream(ctx context.Context, srv *serve.Server, items []serve.WorkItem, assigned func(serve.WorkItem) int) evalTally {
-	var t evalTally
-	for _, it := range items {
-		if ctx.Err() != nil {
-			break
+// driveUntil runs open-loop clients over items against srv until done
+// reports true (met) or timeout expires.
+func driveUntil(ctx context.Context, srv *serve.Server, items []serve.WorkItem, concurrency int, timeout time.Duration, done func() bool) (res *serve.LoadResult, met bool, err error) {
+	dctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	watch := make(chan bool, 1)
+	go func() {
+		for dctx.Err() == nil && !done() {
+			time.Sleep(5 * time.Millisecond)
 		}
-		res, err := srv.Predict(context.Background(), it.X)
-		if err != nil {
-			t.errs++
-			continue
-		}
-		t.requests++
-		if res.Class == it.Y {
-			t.correct++
-		}
-		if id := assigned(it); id >= 0 {
-			t.known++
-			if res.Expert == id {
-				t.routed++
-			}
-		}
-	}
-	return t
-}
-
-// shiftItems pre-transforms the stream's shifted replica with the same
-// deterministic derivation the serve load generator uses, so the injected
-// regime is identical across the frozen, closed-loop, and post-swap passes.
-func shiftItems(items []serve.WorkItem, corr dataset.Corruption, seed uint64) []serve.WorkItem {
-	rng := tensor.NewRNG(seed ^ 0xd21f7)
-	regime := "shifted:" + corr.String()
-	out := make([]serve.WorkItem, len(items))
-	for i, it := range items {
-		it.X = corr.Apply(it.X, rng)
-		it.Regime = regime
-		out[i] = it
-	}
-	return out
+		met := dctx.Err() == nil
+		cancel()
+		watch <- met
+	}()
+	res, err = serve.RunLoad(dctx, srv.Target(), items, serve.LoadConfig{Concurrency: concurrency, Repeat: math.MaxInt32})
+	cancel()
+	return res, <-watch, err
 }
 
 // RunAdaptLiveBench runs the closed-loop continual adaptation benchmark in
@@ -161,7 +121,7 @@ func RunAdaptLiveBench(ctx context.Context, cp *service.Checkpoint, cfg BenchCon
 	if err != nil {
 		return nil, err
 	}
-	shifted := shiftItems(items, cfg.Corruption, cp.Seed)
+	shifted := serve.ShiftItems(items, cfg.Corruption, cp.Seed)
 
 	srvCfg := cfg.Serve
 	srvCfg.CacheSize = -1 // full tee coverage: every request routes cold
@@ -176,12 +136,12 @@ func RunAdaptLiveBench(ctx context.Context, cp *service.Checkpoint, cfg BenchCon
 	if err != nil {
 		return nil, err
 	}
-	frozen := evalStream(ctx, srvA, shifted, func(it serve.WorkItem) int { return it.Assigned })
-	if err := srvA.Close(); err != nil {
-		return nil, err
+	frozen, err := evalPass(ctx, srvA, shifted)
+	if cerr := srvA.Close(); err == nil {
+		err = cerr
 	}
-	if frozen.errs > 0 {
-		return nil, fmt.Errorf("continual: frozen evaluation pass errored %d times", frozen.errs)
+	if err != nil {
+		return nil, err
 	}
 
 	// Pass 2: the closed loop.
@@ -214,90 +174,52 @@ func RunAdaptLiveBench(ctx context.Context, cp *service.Checkpoint, cfg BenchCon
 	ctrl.Start()
 	defer ctrl.Close()
 
-	var (
-		stopDrive atomic.Bool
-		shiftOn   atomic.Bool
-		requests  atomic.Uint64
-		errsN     atomic.Uint64
-		rejected  atomic.Uint64
-		wg        sync.WaitGroup
-	)
-	driveStart := time.Now()
-	for w := 0; w < cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			reqCtx := context.Background()
-			for i := 0; !stopDrive.Load() && ctx.Err() == nil; i++ {
-				set := items
-				if shiftOn.Load() {
-					set = shifted
-				}
-				_, err := srv.Predict(reqCtx, set[i%len(set)].X)
-				switch {
-				case errors.Is(err, serve.ErrOverloaded):
-					rejected.Add(1)
-				case err != nil:
-					errsN.Add(1)
-				default:
-					requests.Add(1)
-				}
-			}
-		}()
-	}
-	stop := func() {
-		stopDrive.Store(true)
-		wg.Wait()
-	}
-
 	// Clean warmup until the monitor has calibrated δ.
-	calDeadline := time.Now().Add(cfg.CalibrationTimeout)
-	for !mon.Summary().Calibrated {
-		if ctx.Err() != nil || time.Now().After(calDeadline) {
-			stop()
-			return nil, errors.New("continual: monitor never calibrated under clean traffic (raise the calibration timeout or shrink the baseline)")
-		}
-		time.Sleep(5 * time.Millisecond)
+	clean, calibrated, err := driveUntil(ctx, srv, items, cfg.Concurrency, cfg.CalibrationTimeout,
+		func() bool { return mon.Summary().Calibrated })
+	if err != nil {
+		return nil, err
+	}
+	if !calibrated {
+		return nil, errors.New("continual: monitor never calibrated under clean traffic (raise the calibration timeout or shrink the baseline)")
 	}
 
-	// Inject the shift and wait for the loop to close.
+	// Inject the shift and drive until the loop closes.
 	fromVersion := srv.Snapshot().Version
 	shiftTeed := mon.Teed()
 	shiftWall := time.Now()
-	shiftOn.Store(true)
-
-	adaptDeadline := shiftWall.Add(cfg.AdaptTimeout)
-	var adaptLatency time.Duration
-	closed := false
-	for !closed {
-		if ctx.Err() != nil || time.Now().After(adaptDeadline) {
-			break
+	var closedAt time.Time
+	drift, closed, err := driveUntil(ctx, srv, shifted, cfg.Concurrency, cfg.AdaptTimeout, func() bool {
+		if ctrl.ContinualState().WindowsCompleted == 0 {
+			return false
 		}
-		if st := ctrl.ContinualState(); st.WindowsCompleted >= 1 {
-			adaptLatency = time.Since(shiftWall)
-			closed = true
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+		closedAt = time.Now()
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
-	stop()
-	driveDur := time.Since(driveStart)
 
-	// Pass 3: recovery on the adapted snapshot. Runs inside the controller's
+	// Pass 3: recovery on the adapted snapshot, routed-to-assigned scored
+	// against the post-window assignment. Runs inside the controller's
 	// cooldown, so the assignment being scored cannot shift underneath it.
 	adapted := srv.Snapshot()
-	post := evalStream(ctx, srv, shifted, func(it serve.WorkItem) int {
+	reassigned := make([]serve.WorkItem, len(shifted))
+	for i, it := range shifted {
+		it.Assigned = -1
 		if id, ok := adapted.AssignedExpert(it.Party); ok {
-			return id
+			it.Assigned = id
 		}
-		return -1
-	})
-	if post.errs > 0 {
-		return nil, fmt.Errorf("continual: post-swap evaluation pass errored %d times", post.errs)
+		reassigned[i] = it
+	}
+	post, err := evalPass(ctx, srv, reassigned)
+	if err != nil {
+		return nil, err
 	}
 
+	driveDur := clean.Duration + drift.Duration
 	st := ctrl.ContinualState()
-	monCfg := cfg.Monitor // report resolved economy in the options block
+	monCfg := mon.Config() // the resolved economy, defaults applied
 	a := &experiments.AdaptLiveArtifact{
 		Schema: experiments.AdaptLiveSchemaVersion,
 		Name:   experiments.AdaptLiveArtifactName,
@@ -317,13 +239,13 @@ func RunAdaptLiveBench(ctx context.Context, cp *service.Checkpoint, cfg BenchCon
 			Resamples:            monCfg.Calibrate.Resamples,
 			Hysteresis:           st.Hysteresis,
 			CooldownMs:           st.CooldownSeconds * 1e3,
-			ValidationMinSamples: cfg.Controller.Validation.MinSamples,
-			ValidationDisabled:   cfg.Controller.Validation.Disabled,
+			ValidationMinSamples: ctrl.cfg.Validation.MinSamples,
+			ValidationDisabled:   ctrl.cfg.Validation.Disabled,
 		},
-		Requests:           requests.Load(),
-		Errors:             errsN.Load(),
-		Rejected:           rejected.Load(),
-		DurationMs:         float64(driveDur.Microseconds()) / 1e3,
+		Requests:           clean.Requests + drift.Requests,
+		Errors:             clean.Errors + drift.Errors,
+		Rejected:           clean.Rejected + drift.Rejected,
+		DurationMs:         serve.Millis(driveDur),
 		ShiftAtSample:      shiftTeed,
 		ExpertsBefore:      snapB.NumExperts(),
 		ExpertsAfter:       adapted.NumExperts(),
@@ -333,11 +255,11 @@ func RunAdaptLiveBench(ctx context.Context, cp *service.Checkpoint, cfg BenchCon
 		SwappedFromVersion: fromVersion,
 		SwappedToVersion:   adapted.Version,
 
-		EvalRequests:            frozen.requests + post.requests,
-		FrozenShiftedRouted:     frozen.routing(),
-		FrozenShiftedAccuracy:   frozen.accuracy(),
-		PostSwapShiftedRouted:   post.routing(),
-		PostSwapShiftedAccuracy: post.accuracy(),
+		EvalRequests:            int(frozen.Requests + post.Requests),
+		FrozenShiftedRouted:     frozen.RoutingAccuracy(),
+		FrozenShiftedAccuracy:   frozen.Accuracy(),
+		PostSwapShiftedRouted:   post.RoutingAccuracy(),
+		PostSwapShiftedAccuracy: post.Accuracy(),
 	}
 	if driveDur > 0 {
 		a.ThroughputPerSec = float64(a.Requests) / driveDur.Seconds()
@@ -360,7 +282,7 @@ func RunAdaptLiveBench(ctx context.Context, cp *service.Checkpoint, cfg BenchCon
 		}
 	}
 	if closed {
-		a.AdaptLatencyMs = float64(adaptLatency.Microseconds()) / 1e3
+		a.AdaptLatencyMs = serve.Millis(closedAt.Sub(shiftWall))
 	}
 	return a, nil
 }

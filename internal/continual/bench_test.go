@@ -48,6 +48,12 @@ func TestClosedLoopEndToEnd(t *testing.T) {
 	if err := a.CheckAdaptLive(); err != nil {
 		t.Fatalf("closed loop gate failed: %v\nartifact: %+v", err, a)
 	}
+	// The options block records the effective configuration, defaults
+	// applied, not the zero values the caller left unset.
+	if a.Options.Threshold <= 0 || a.Options.ValidationMinSamples <= 0 {
+		t.Fatalf("options record unresolved defaults: threshold=%g validationMinSamples=%d",
+			a.Options.Threshold, a.Options.ValidationMinSamples)
+	}
 	if a.AdaptLatencyMs <= 0 {
 		t.Fatalf("loop closed but latency not recorded: %+v", a)
 	}

@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 )
 
 // AdaptLiveSchemaVersion is bumped whenever the BENCH_adapt-live.json
@@ -150,54 +145,4 @@ func (a *AdaptLiveArtifact) CheckAdaptLive() error {
 			a.PostSwapShiftedRouted, a.FrozenShiftedRouted)
 	}
 	return nil
-}
-
-// Encode writes the artifact as indented, newline-terminated JSON.
-func (a *AdaptLiveArtifact) Encode(w io.Writer) error {
-	buf, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiments: encode adapt-live artifact: %w", err)
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
-
-// DecodeAdaptLiveArtifact reads and validates one adapt-live artifact.
-// Unknown fields are rejected so schema drift fails loudly.
-func DecodeAdaptLiveArtifact(r io.Reader) (*AdaptLiveArtifact, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var a AdaptLiveArtifact
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("experiments: decode adapt-live artifact: %w", err)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
-// WriteAdaptLiveArtifactFile encodes the artifact into dir under the
-// canonical BENCH_adapt-live.json name and returns the written path.
-func WriteAdaptLiveArtifactFile(dir string, a *AdaptLiveArtifact) (string, error) {
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, ArtifactFileName(a.Name))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return "", fmt.Errorf("experiments: write adapt-live artifact: %w", err)
-	}
-	return path, nil
-}
-
-// ReadAdaptLiveArtifactFile decodes one adapt-live artifact from disk.
-func ReadAdaptLiveArtifactFile(path string) (*AdaptLiveArtifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: read adapt-live artifact: %w", err)
-	}
-	defer f.Close()
-	return DecodeAdaptLiveArtifact(f)
 }

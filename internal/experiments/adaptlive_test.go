@@ -33,10 +33,10 @@ func goodAdaptLive() *AdaptLiveArtifact {
 func TestAdaptLiveArtifactRoundTrip(t *testing.T) {
 	a := goodAdaptLive()
 	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
+	if err := Encode(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeAdaptLiveArtifact(&buf)
+	got, err := Decode[AdaptLiveArtifact](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +45,14 @@ func TestAdaptLiveArtifactRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	path, err := WriteAdaptLiveArtifactFile(dir, a)
+	path, err := WriteFile(dir, a.Name, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasSuffix(path, "BENCH_adapt-live.json") {
 		t.Fatalf("unexpected artifact path %q", path)
 	}
-	if _, err := ReadAdaptLiveArtifactFile(path); err != nil {
+	if _, err := ReadFile[AdaptLiveArtifact](path); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,11 +109,11 @@ func TestCheckAdaptLiveGate(t *testing.T) {
 
 func TestAdaptLiveDecodeRejectsUnknownFields(t *testing.T) {
 	var buf bytes.Buffer
-	if err := goodAdaptLive().Encode(&buf); err != nil {
+	if err := Encode(&buf, goodAdaptLive()); err != nil {
 		t.Fatal(err)
 	}
 	doc := strings.Replace(buf.String(), `"schema"`, `"bogusField": 1, "schema"`, 1)
-	if _, err := DecodeAdaptLiveArtifact(strings.NewReader(doc)); err == nil {
+	if _, err := Decode[AdaptLiveArtifact](strings.NewReader(doc)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
 }

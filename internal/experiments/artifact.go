@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 
 	"repro/internal/metrics"
 )
@@ -201,63 +196,6 @@ func (a *Artifact) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Encode writes the artifact as indented, newline-terminated JSON. Field
-// order is fixed by the struct layout and Go's json encoder sorts map
-// keys, so equal artifacts always encode to equal bytes.
-func (a *Artifact) Encode(w io.Writer) error {
-	buf, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiments: encode artifact: %w", err)
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
-
-// DecodeArtifact reads and validates one artifact. Unknown fields are
-// rejected so schema drift fails loudly instead of silently dropping data.
-func DecodeArtifact(r io.Reader) (*Artifact, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var a Artifact
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("experiments: decode artifact: %w", err)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
-// ArtifactFileName is the canonical on-disk name, BENCH_<benchmark>.json.
-func ArtifactFileName(name string) string {
-	return "BENCH_" + name + ".json"
-}
-
-// WriteArtifactFile encodes the artifact into dir under its canonical name
-// and returns the written path.
-func WriteArtifactFile(dir string, a *Artifact) (string, error) {
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, ArtifactFileName(a.Name))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return "", fmt.Errorf("experiments: write artifact: %w", err)
-	}
-	return path, nil
-}
-
-// ReadArtifactFile decodes one artifact from disk.
-func ReadArtifactFile(path string) (*Artifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: read artifact: %w", err)
-	}
-	defer f.Close()
-	return DecodeArtifact(f)
 }
 
 // ComparisonFromArtifact rebuilds a Comparison from a decoded artifact so

@@ -71,10 +71,10 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
+	if err := Encode(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeArtifact(bytes.NewReader(buf.Bytes()))
+	decoded, err := Decode[Artifact](bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 
 	// Re-encoding the decoded artifact must reproduce the bytes exactly.
 	var buf2 bytes.Buffer
-	if err := decoded.Encode(&buf2); err != nil {
+	if err := Encode(&buf2, decoded); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
@@ -105,7 +105,7 @@ func TestArtifactGolden(t *testing.T) {
 	a.StripTiming() // golden bytes must be timing-free
 
 	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
+	if err := Encode(&buf, a); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", ArtifactFileName("golden"))
@@ -126,7 +126,7 @@ func TestArtifactGolden(t *testing.T) {
 	}
 
 	// The golden file itself must decode under the current schema.
-	ga, err := DecodeArtifact(bytes.NewReader(want))
+	ga, err := Decode[Artifact](bytes.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +145,10 @@ func TestArtifactStripTimingDeterminism(t *testing.T) {
 	b := NewArtifact("fmow", opts, slower)
 
 	var rawA, rawB bytes.Buffer
-	if err := a.Encode(&rawA); err != nil {
+	if err := Encode(&rawA, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Encode(&rawB); err != nil {
+	if err := Encode(&rawB, b); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(rawA.Bytes(), rawB.Bytes()) {
@@ -159,10 +159,10 @@ func TestArtifactStripTimingDeterminism(t *testing.T) {
 	b.StripTiming()
 	rawA.Reset()
 	rawB.Reset()
-	if err := a.Encode(&rawA); err != nil {
+	if err := Encode(&rawA, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Encode(&rawB); err != nil {
+	if err := Encode(&rawB, b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rawA.Bytes(), rawB.Bytes()) {
@@ -184,10 +184,10 @@ func TestArtifactValidation(t *testing.T) {
 	}
 	for i, mutate := range mutations {
 		var buf bytes.Buffer
-		if err := good.Encode(&buf); err != nil {
+		if err := Encode(&buf, good); err != nil {
 			t.Fatal(err)
 		}
-		a, err := DecodeArtifact(bytes.NewReader(buf.Bytes()))
+		a, err := Decode[Artifact](bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestArtifactValidation(t *testing.T) {
 	}
 
 	// Unknown fields are schema drift and must be rejected.
-	if _, err := DecodeArtifact(strings.NewReader(`{"schema":1,"name":"fmow","options":{},"cells":[],"extra":true}`)); err == nil {
+	if _, err := Decode[Artifact](strings.NewReader(`{"schema":1,"name":"fmow","options":{},"cells":[],"extra":true}`)); err == nil {
 		t.Fatal("unknown field should be rejected")
 	}
 }
@@ -258,7 +258,7 @@ func TestArtifactFileRoundTripAndGridParity(t *testing.T) {
 		}
 		arts[0].StripTiming()
 		var buf bytes.Buffer
-		if err := arts[0].Encode(&buf); err != nil {
+		if err := Encode(&buf, arts[0]); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -276,14 +276,14 @@ func TestArtifactFileRoundTripAndGridParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := ArtifactsFromCells(opts, cells)[0]
-	path, err := WriteArtifactFile(dir, a)
+	path, err := WriteFile(dir, a.Name, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if filepath.Base(path) != "BENCH_fmow.json" {
 		t.Fatalf("artifact path = %s", path)
 	}
-	back, err := ReadArtifactFile(path)
+	back, err := ReadFile[Artifact](path)
 	if err != nil {
 		t.Fatal(err)
 	}

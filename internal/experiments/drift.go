@@ -1,14 +1,9 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
-	"path/filepath"
 )
 
 // DriftSchemaVersion is bumped whenever the BENCH_drift.json layout
@@ -139,54 +134,4 @@ func (a *DriftArtifact) CheckDrift(maxOverheadPercent float64) error {
 			a.OverheadPercent, maxOverheadPercent, a.BaselineThroughputPerSec, a.MonitoredThroughputPerSec)
 	}
 	return nil
-}
-
-// Encode writes the artifact as indented, newline-terminated JSON.
-func (a *DriftArtifact) Encode(w io.Writer) error {
-	buf, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiments: encode drift artifact: %w", err)
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
-
-// DecodeDriftArtifact reads and validates one drift artifact. Unknown
-// fields are rejected so schema drift fails loudly.
-func DecodeDriftArtifact(r io.Reader) (*DriftArtifact, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var a DriftArtifact
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("experiments: decode drift artifact: %w", err)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
-// WriteDriftArtifactFile encodes the artifact into dir under the
-// canonical BENCH_drift.json name and returns the written path.
-func WriteDriftArtifactFile(dir string, a *DriftArtifact) (string, error) {
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, ArtifactFileName(a.Name))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return "", fmt.Errorf("experiments: write drift artifact: %w", err)
-	}
-	return path, nil
-}
-
-// ReadDriftArtifactFile decodes one drift artifact from disk.
-func ReadDriftArtifactFile(path string) (*DriftArtifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: read drift artifact: %w", err)
-	}
-	defer f.Close()
-	return DecodeDriftArtifact(f)
 }

@@ -56,10 +56,10 @@ func validDriftArtifact() *DriftArtifact {
 func TestDriftArtifactRoundTrip(t *testing.T) {
 	a := validDriftArtifact()
 	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
+	if err := Encode(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeDriftArtifact(&buf)
+	got, err := Decode[DriftArtifact](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestDriftArtifactRoundTrip(t *testing.T) {
 }
 
 func TestDriftArtifactRejectsUnknownFields(t *testing.T) {
-	if _, err := DecodeDriftArtifact(strings.NewReader(`{"schema":1,"name":"drift","bogus":true}`)); err == nil {
+	if _, err := Decode[DriftArtifact](strings.NewReader(`{"schema":1,"name":"drift","bogus":true}`)); err == nil {
 		t.Fatal("expected unknown-field error")
 	}
 }

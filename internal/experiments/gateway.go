@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 )
 
 // GatewaySchemaVersion is bumped whenever the BENCH_gateway.json layout
@@ -134,54 +129,4 @@ func (a *GatewayArtifact) MinAffinityRetained() float64 {
 		}
 	}
 	return min
-}
-
-// Encode writes the artifact as indented, newline-terminated JSON.
-func (a *GatewayArtifact) Encode(w io.Writer) error {
-	buf, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiments: encode gateway artifact: %w", err)
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
-
-// DecodeGatewayArtifact reads and validates one gateway artifact.
-// Unknown fields are rejected so schema drift fails loudly.
-func DecodeGatewayArtifact(r io.Reader) (*GatewayArtifact, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var a GatewayArtifact
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("experiments: decode gateway artifact: %w", err)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
-// WriteGatewayArtifactFile encodes the artifact into dir under the
-// canonical BENCH_gateway.json name and returns the written path.
-func WriteGatewayArtifactFile(dir string, a *GatewayArtifact) (string, error) {
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, ArtifactFileName(a.Name))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return "", fmt.Errorf("experiments: write gateway artifact: %w", err)
-	}
-	return path, nil
-}
-
-// ReadGatewayArtifactFile decodes one gateway artifact from disk.
-func ReadGatewayArtifactFile(path string) (*GatewayArtifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: read gateway artifact: %w", err)
-	}
-	defer f.Close()
-	return DecodeGatewayArtifact(f)
 }

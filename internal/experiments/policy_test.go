@@ -168,10 +168,10 @@ func TestPolicyArtifactRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
+	if err := Encode(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeArtifact(&buf)
+	back, err := Decode[Artifact](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

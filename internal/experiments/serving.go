@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 )
 
 // ServingSchemaVersion is bumped whenever the BENCH_serving.json layout
@@ -116,54 +111,4 @@ func (a *ServingArtifact) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Encode writes the artifact as indented, newline-terminated JSON.
-func (a *ServingArtifact) Encode(w io.Writer) error {
-	buf, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiments: encode serving artifact: %w", err)
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
-
-// DecodeServingArtifact reads and validates one serving artifact. Unknown
-// fields are rejected so schema drift fails loudly.
-func DecodeServingArtifact(r io.Reader) (*ServingArtifact, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var a ServingArtifact
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("experiments: decode serving artifact: %w", err)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
-// WriteServingArtifactFile encodes the artifact into dir under the
-// canonical BENCH_serving.json name and returns the written path.
-func WriteServingArtifactFile(dir string, a *ServingArtifact) (string, error) {
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, ArtifactFileName(a.Name))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return "", fmt.Errorf("experiments: write serving artifact: %w", err)
-	}
-	return path, nil
-}
-
-// ReadServingArtifactFile decodes one serving artifact from disk.
-func ReadServingArtifactFile(path string) (*ServingArtifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: read serving artifact: %w", err)
-	}
-	defer f.Close()
-	return DecodeServingArtifact(f)
 }

@@ -31,10 +31,10 @@ func validServingArtifact() *ServingArtifact {
 func TestServingArtifactRoundTrip(t *testing.T) {
 	a := validServingArtifact()
 	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
+	if err := Encode(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeServingArtifact(&buf)
+	got, err := Decode[ServingArtifact](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +45,14 @@ func TestServingArtifactRoundTrip(t *testing.T) {
 
 func TestServingArtifactFile(t *testing.T) {
 	dir := t.TempDir()
-	path, err := WriteServingArtifactFile(dir, validServingArtifact())
+	path, err := WriteFile(dir, ServingArtifactName, validServingArtifact())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if filepath.Base(path) != "BENCH_serving.json" {
 		t.Fatalf("wrote %s, want BENCH_serving.json", path)
 	}
-	if _, err := ReadServingArtifactFile(path); err != nil {
+	if _, err := ReadFile[ServingArtifact](path); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -90,14 +90,14 @@ func TestServingColdArtifactFile(t *testing.T) {
 	a.Options.CacheSize = -1
 	a.CacheHitRate = 0
 	dir := t.TempDir()
-	path, err := WriteServingArtifactFile(dir, a)
+	path, err := WriteFile(dir, a.Name, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if filepath.Base(path) != "BENCH_serving-cold.json" {
 		t.Fatalf("wrote %s, want BENCH_serving-cold.json", path)
 	}
-	got, err := ReadServingArtifactFile(path)
+	got, err := ReadFile[ServingArtifact](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestServingColdArtifactFile(t *testing.T) {
 
 func TestServingArtifactRejectsUnknownFields(t *testing.T) {
 	var buf bytes.Buffer
-	if err := validServingArtifact().Encode(&buf); err != nil {
+	if err := Encode(&buf, validServingArtifact()); err != nil {
 		t.Fatal(err)
 	}
 	tampered := bytes.Replace(buf.Bytes(), []byte(`"schema"`), []byte(`"bogusField": 1, "schema"`), 1)
-	if _, err := DecodeServingArtifact(bytes.NewReader(tampered)); err == nil {
+	if _, err := Decode[ServingArtifact](bytes.NewReader(tampered)); err == nil {
 		t.Fatal("unknown field must be rejected")
 	}
 }

@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 )
 
 // TracingSchemaVersion is bumped whenever the BENCH_tracing.json layout
@@ -92,54 +87,4 @@ func (a *TracingArtifact) CheckOverhead(maxPercent float64) error {
 			a.OverheadPercent, maxPercent, a.BaselineThroughputPerSec, a.TracedThroughputPerSec)
 	}
 	return nil
-}
-
-// Encode writes the artifact as indented, newline-terminated JSON.
-func (a *TracingArtifact) Encode(w io.Writer) error {
-	buf, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiments: encode tracing artifact: %w", err)
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
-
-// DecodeTracingArtifact reads and validates one tracing artifact.
-// Unknown fields are rejected so schema drift fails loudly.
-func DecodeTracingArtifact(r io.Reader) (*TracingArtifact, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var a TracingArtifact
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("experiments: decode tracing artifact: %w", err)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
-// WriteTracingArtifactFile encodes the artifact into dir under the
-// canonical BENCH_tracing.json name and returns the written path.
-func WriteTracingArtifactFile(dir string, a *TracingArtifact) (string, error) {
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, ArtifactFileName(a.Name))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return "", fmt.Errorf("experiments: write tracing artifact: %w", err)
-	}
-	return path, nil
-}
-
-// ReadTracingArtifactFile decodes one tracing artifact from disk.
-func ReadTracingArtifactFile(path string) (*TracingArtifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: read tracing artifact: %w", err)
-	}
-	defer f.Close()
-	return DecodeTracingArtifact(f)
 }

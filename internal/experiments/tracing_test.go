@@ -43,10 +43,10 @@ func validTracingArtifact() *TracingArtifact {
 func TestTracingArtifactRoundTrip(t *testing.T) {
 	a := validTracingArtifact()
 	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
+	if err := Encode(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeTracingArtifact(&buf)
+	got, err := Decode[TracingArtifact](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTracingArtifactRoundTrip(t *testing.T) {
 }
 
 func TestTracingArtifactRejectsUnknownFields(t *testing.T) {
-	if _, err := DecodeTracingArtifact(strings.NewReader(`{"schema":1,"name":"tracing","bogus":true}`)); err == nil {
+	if _, err := Decode[TracingArtifact](strings.NewReader(`{"schema":1,"name":"tracing","bogus":true}`)); err == nil {
 		t.Fatal("expected unknown-field error")
 	}
 }

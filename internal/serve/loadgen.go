@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -17,15 +18,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// LoadConfig tunes the load generator.
+// LoadConfig tunes the load driver.
 type LoadConfig struct {
 	// TargetQPS paces requests at this aggregate rate; 0 runs open loop
-	// (as fast as the pipeline accepts).
+	// (as fast as the target accepts).
 	TargetQPS float64
 	// Concurrency is the number of client goroutines (default: 2 per core).
 	Concurrency int
-	// Repeat is how many passes over the window's request stream to replay
-	// (default 1). Later passes exercise the LRU route cache.
+	// Repeat is how many passes over the request stream to replay
+	// (default 1). Later passes exercise the route caches.
 	Repeat int
 	// MaxDuration stops the run early when positive.
 	MaxDuration time.Duration
@@ -35,28 +36,25 @@ type LoadConfig struct {
 	SamplesPerParty int
 	TestPerParty    int
 	// SwapMidLoad hot-swaps a freshly built snapshot of the same
-	// checkpoint halfway through the run, exercising the zero-drop swap
-	// path under live traffic.
+	// checkpoint halfway through an in-process run (RunServerLoad),
+	// exercising the zero-drop swap path under live traffic.
 	SwapMidLoad bool
-	// ShiftAt, in (0, 1), injects a covariate regime change after that
-	// fraction of the run: requests issued beyond the shift point replay
-	// ShiftCorruption-transformed inputs. The fraction is measured against
-	// MaxDuration when one is set (a deadline, not the request counter,
-	// decides where a huge Repeat ends), otherwise against the total
-	// request count. Zero disables injection.
+	// ShiftAt, in (0, 1), injects a covariate regime change into an
+	// in-process run (RunServerLoad) after that fraction of it: requests
+	// claimed from then on replay ShiftCorruption-transformed inputs.
+	// Zero disables injection.
 	ShiftAt float64
-	// ShiftCorruption is the transform injected at the shift point.
-	// The identity (zero value) selects frost/5 — fully deterministic per
-	// input, so replayed passes of the shifted stream are identical.
+	// ShiftCorruption is the transform injected at the shift point; the
+	// identity (zero value) selects DefaultShift.
 	ShiftCorruption dataset.Corruption
-	// Tracer, when set, roots one span per generated request, which in
-	// turn makes the serving pipeline record its route and batch spans —
-	// the traced phase of the tracing-overhead benchmark. Nil generates
-	// untraced load.
+	// Tracer, when set, roots one loadgen.predict span per generated
+	// request, which in turn makes the target record its own spans under
+	// it. Nil generates untraced load.
 	Tracer *telemetry.Tracer
 }
 
-func (c LoadConfig) withDefaults() LoadConfig {
+// WithDefaults resolves the zero-valued fields to their defaults.
+func (c LoadConfig) WithDefaults() LoadConfig {
 	if c.Concurrency <= 0 {
 		c.Concurrency = 2 * runtime.GOMAXPROCS(0)
 	}
@@ -72,47 +70,133 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	return c
 }
 
-// ErrSwapTooLate reports that the workload drained before the mid-load
-// swap could fire, so SwapMidLoad could not be honored: the run is too
-// short to serve as hot-swap-under-load evidence. Lengthen it (higher
-// Repeat or a MaxDuration) instead of trusting the artifact.
-var ErrSwapTooLate = errors.New("serve: load finished before the mid-load swap could fire")
+// DefaultShift is the covariate shift injected when none is chosen:
+// frost/5 is fully deterministic per input, so replayed passes of the
+// shifted stream are identical.
+var DefaultShift = dataset.Corruption{Kind: dataset.CorruptFrost, Severity: 5}
 
-// ErrShiftTooLate is the ShiftAt analog of ErrSwapTooLate: the workload
-// drained before the injection point, so the run holds no post-shift
-// traffic and cannot serve as drift-detection evidence.
-var ErrShiftTooLate = errors.New("serve: load finished before the shift could be injected")
+// ErrTooLate reports that the stream drained before a mid-load event (a
+// hot swap, a shift injection, a replica kill) could fire: the run is too
+// short to serve as evidence for it. Lengthen it (higher Repeat or a
+// MaxDuration) instead of trusting the artifact.
+var ErrTooLate = errors.New("serve: load finished before a mid-load event could fire")
 
-// RegimeResult is one covariate regime's serving quality under load.
-type RegimeResult struct {
-	Regime           string
-	Requests         int
-	Correct          int
-	AssignedKnown    int // requests whose party has a recorded assignment
-	RoutedToAssigned int
-	Matched          int
+// Event is an action RunLoad fires exactly once, from the first client
+// goroutine to claim a request at or past fraction At of the stream (or,
+// with a MaxDuration, to complete a request after At of it has elapsed,
+// whichever comes first), before that request is issued.
+type Event struct {
+	// At is the fraction of the run, in (0, 1).
+	At float64
+	// Fire, when set, is the action; its error fails the run.
+	Fire func() error
+	// Stream, when set, replaces the request stream from this point on.
+	Stream []WorkItem
 }
 
-// LoadResult aggregates one load-generation run.
+// Answer is one served prediction as a Target reports it.
+type Answer struct {
+	Class   int
+	Expert  int
+	Matched bool
+	// Model and Replica name what served the request, for targets that
+	// spread load across several (empty otherwise).
+	Model, Replica string
+	// Cached reports an answer from a gateway session cache.
+	Cached bool
+	// Retries counts extra attempts issued for this request; Rejections
+	// counts the overload refusals (429/503) observed among the attempts.
+	// Both are reported on failure too.
+	Retries, Rejections int
+}
+
+// Target is what RunLoad drives: an in-process server (Server.Target) or
+// a gateway over HTTP. Predict serves one request. seq is the request's
+// position in the run, t0 the instant the driver started timing it, and
+// root the request's root span (the zero Span when untraced). It returns
+// ErrOverloaded when the target refused the request for lack of capacity.
+type Target interface {
+	Predict(ctx context.Context, seq int64, it *WorkItem, root *telemetry.Span, t0 time.Time) (Answer, error)
+}
+
+// Tally counts served predictions and scores them against the stream's
+// ground truth.
+type Tally struct {
+	Requests         uint64 // completed predictions
+	Correct          uint64 // predicted the true class
+	AssignedKnown    uint64 // the party has a recorded expert assignment
+	RoutedToAssigned uint64 // ... and the request was routed to that expert
+	Matched          uint64 // routed by a latent-memory match, not the fallback
+}
+
+func (t *Tally) add(it *WorkItem, a *Answer) {
+	t.Requests++
+	if a.Class == it.Y {
+		t.Correct++
+	}
+	if a.Matched {
+		t.Matched++
+	}
+	if it.Assigned >= 0 {
+		t.AssignedKnown++
+		if a.Expert == it.Assigned {
+			t.RoutedToAssigned++
+		}
+	}
+}
+
+func (t *Tally) merge(o *Tally) {
+	t.Requests += o.Requests
+	t.Correct += o.Correct
+	t.AssignedKnown += o.AssignedKnown
+	t.RoutedToAssigned += o.RoutedToAssigned
+	t.Matched += o.Matched
+}
+
+func ratio(n, d uint64) float64 {
+	if d == 0 {
+		return 0
+	}
+	return float64(n) / float64(d)
+}
+
+// Accuracy returns the fraction of completed predictions that were correct.
+func (t Tally) Accuracy() float64 { return ratio(t.Correct, t.Requests) }
+
+// RoutingAccuracy returns the fraction of assignment-known requests routed
+// to the expert the training run assigned to the originating party.
+func (t Tally) RoutingAccuracy() float64 { return ratio(t.RoutedToAssigned, t.AssignedKnown) }
+
+// MatchedFraction returns the fraction of completed predictions routed by
+// a latent-memory match.
+func (t Tally) MatchedFraction() float64 { return ratio(t.Matched, t.Requests) }
+
+// Group is one named slice of a run: a covariate regime, or a model.
+type Group struct {
+	Name string
+	Tally
+}
+
+// LoadResult aggregates one load run.
 type LoadResult struct {
-	Requests uint64 // completed predictions
+	Tally
 	Errors   uint64
-	Rejected uint64
+	Rejected uint64 // overload refusals, including those later retried
+	Retried  uint64 // extra attempts issued
+	Cached   uint64 // answers served from a gateway session cache
 	Duration time.Duration
 	LatencyP50, LatencyP90,
 	LatencyP99, LatencyMax time.Duration
-	Correct          uint64 // requests predicted correctly
-	RoutedToAssigned uint64 // requests routed to the party's trained expert
-	AssignedKnown    uint64 // requests whose party has a recorded assignment
-	Regimes          []RegimeResult
-	Server           MetricsSnapshot // server-side counters at run end
+	Regimes   []Group // by WorkItem.Regime, sorted by name
+	Models    []Group // by Answer.Model, sorted by name
+	ByReplica map[string]uint64
 
-	// Shift-injection record (ShiftAt runs only). ShiftAtRequest is the
-	// claimed-request watermark at the injection instant; ShiftTeedSamples
-	// is the monitor's cumulative teed-sample counter at the same instant —
+	// In-process runs (RunServerLoad) only: the server's counters at run
+	// end and the shift-injection record. ShiftTeedSamples is the
+	// monitor's cumulative teed-sample counter at the injection instant,
 	// the zero point detection latency is measured from.
+	Server           MetricsSnapshot
 	ShiftInjected    bool
-	ShiftAtRequest   uint64
 	ShiftTeedSamples uint64
 }
 
@@ -124,26 +208,18 @@ func (r *LoadResult) Throughput() float64 {
 	return float64(r.Requests) / r.Duration.Seconds()
 }
 
-// Accuracy returns the fraction of completed predictions that were correct.
-func (r *LoadResult) Accuracy() float64 {
-	if r.Requests == 0 {
-		return 0
+// Print writes the run's headline and per-regime lines.
+func (r *LoadResult) Print(w io.Writer) {
+	fmt.Fprintf(w, "loadgen: %d predictions in %.2fs (%.0f/s), p50=%s p90=%s p99=%s, accuracy=%.3f routing=%.3f\n",
+		r.Requests, r.Duration.Seconds(), r.Throughput(),
+		r.LatencyP50, r.LatencyP90, r.LatencyP99, r.Accuracy(), r.RoutingAccuracy())
+	for _, g := range r.Regimes {
+		fmt.Fprintf(w, "  regime %-10s %6d requests  accuracy=%.3f  routed-to-assigned=%.3f  matched=%.3f\n",
+			g.Name, g.Requests, g.Accuracy(), g.RoutingAccuracy(), g.MatchedFraction())
 	}
-	return float64(r.Correct) / float64(r.Requests)
 }
 
-// RoutingAccuracy returns the fraction of assignment-known requests routed
-// to the expert the training run assigned to the originating party.
-func (r *LoadResult) RoutingAccuracy() float64 {
-	if r.AssignedKnown == 0 {
-		return 0
-	}
-	return float64(r.RoutedToAssigned) / float64(r.AssignedKnown)
-}
-
-// WorkItem is one replayable request with its scoring ground truth. The
-// serve loadgen replays items in-process; the gateway loadgen replays the
-// same items over HTTP against a replica fleet.
+// WorkItem is one replayable request with its scoring ground truth.
 type WorkItem struct {
 	X        tensor.Vector
 	Y        int
@@ -159,7 +235,7 @@ type WorkItem struct {
 // the per-expert batcher (and, at the gateway, the worst case for
 // consistent-hash locality).
 func Workload(cp *service.Checkpoint, cfg LoadConfig) ([]WorkItem, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	parties := len(cp.Aggregator.Assignment)
 	if parties == 0 {
 		return nil, errors.New("serve: checkpoint has no party assignments")
@@ -200,58 +276,130 @@ func Workload(cp *service.Checkpoint, cfg LoadConfig) ([]WorkItem, error) {
 	return items, nil
 }
 
-// RunLoad replays the checkpoint's scenario stream against srv at the
-// configured rate and returns the aggregate result. srv must be serving a
-// snapshot built from cp (the workload and routing ground truth are
-// regenerated from the checkpoint's seed and assignment).
-func RunLoad(ctx context.Context, srv *Server, cp *service.Checkpoint, cfg LoadConfig) (*LoadResult, error) {
-	cfg = cfg.withDefaults()
-	items, err := Workload(cp, cfg)
-	if err != nil {
-		return nil, err
+// ShiftItems returns the shifted replica of a stream: every input
+// transformed by corr, every regime renamed "shifted:<corr>". The
+// transform's randomness derives from seed alone, so every pass built
+// from the same checkpoint injects the identical regime.
+func ShiftItems(items []WorkItem, corr dataset.Corruption, seed uint64) []WorkItem {
+	rng := tensor.NewRNG(seed ^ 0xd21f7)
+	regime := "shifted:" + corr.String()
+	out := make([]WorkItem, len(items))
+	for i, it := range items {
+		it.X = corr.Apply(it.X, rng)
+		it.Regime = regime
+		out[i] = it
+	}
+	return out
+}
+
+// firing is one Event's trigger state inside a run.
+type firing struct {
+	threshold int64     // request index at which the event is due
+	when      time.Time // instant at which it is due (zero: count only)
+	done      atomic.Bool
+}
+
+// due claims the event for the caller once it is due; exactly one caller
+// ever gets true.
+func (f *firing) due(i int64, now time.Time) bool {
+	return !f.done.Load() &&
+		(i >= f.threshold || (!f.when.IsZero() && now.After(f.when))) &&
+		f.done.CompareAndSwap(false, true)
+}
+
+// shard is one client goroutine's private share of the run's accounting,
+// merged into the result once when the goroutine exits.
+type shard struct {
+	res      LoadResult
+	regimes  map[string]*Tally
+	models   map[string]*Tally
+	replicas map[string]uint64
+	lats     []time.Duration
+	fireErr  error
+}
+
+func (s *shard) record(it *WorkItem, a *Answer, err error, lat time.Duration) {
+	s.res.Retried += uint64(a.Retries)
+	s.res.Rejected += uint64(a.Rejections)
+	switch {
+	case errors.Is(err, ErrOverloaded):
+		s.res.Rejected++
+		return
+	case err != nil:
+		s.res.Errors++
+		return
+	}
+	s.lats = append(s.lats, lat)
+	s.res.add(it, a)
+	groupOf(s.regimes, it.Regime).add(it, a)
+	if a.Model != "" {
+		groupOf(s.models, a.Model).add(it, a)
+	}
+	if a.Replica != "" {
+		s.replicas[a.Replica]++
+	}
+	if a.Cached {
+		s.res.Cached++
+	}
+}
+
+func groupOf(m map[string]*Tally, name string) *Tally {
+	t := m[name]
+	if t == nil {
+		t = &Tally{}
+		m[name] = t
+	}
+	return t
+}
+
+func newShard() *shard {
+	return &shard{regimes: map[string]*Tally{}, models: map[string]*Tally{}, replicas: map[string]uint64{}}
+}
+
+func (s *shard) merge(o *shard) {
+	s.res.merge(&o.res.Tally)
+	s.res.Errors += o.res.Errors
+	s.res.Rejected += o.res.Rejected
+	s.res.Retried += o.res.Retried
+	s.res.Cached += o.res.Cached
+	for k, v := range o.regimes {
+		groupOf(s.regimes, k).merge(v)
+	}
+	for k, v := range o.models {
+		groupOf(s.models, k).merge(v)
+	}
+	for k, v := range o.replicas {
+		s.replicas[k] += v
+	}
+	s.lats = append(s.lats, o.lats...)
+	if s.fireErr == nil {
+		s.fireErr = o.fireErr
+	}
+}
+
+func sortedGroups(m map[string]*Tally) []Group {
+	out := make([]Group, 0, len(m))
+	for k, t := range m {
+		out = append(out, Group{Name: k, Tally: *t})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// RunLoad is the load driver: cfg.Concurrency client goroutines claim
+// requests from items (replayed cfg.Repeat times) and issue them against
+// t at cfg.TargetQPS (0 = open loop) until the stream drains, ctx is
+// cancelled or cfg.MaxDuration elapses. events fire mid-load at their
+// fractions of the run; one that never fires fails the run with
+// ErrTooLate (unless ctx was cancelled).
+func RunLoad(ctx context.Context, t Target, items []WorkItem, cfg LoadConfig, events ...Event) (*LoadResult, error) {
+	cfg = cfg.WithDefaults()
+	if len(items) == 0 {
+		return nil, errors.New("serve: empty request stream")
 	}
 	total := int64(len(items)) * int64(cfg.Repeat)
-
-	// Pre-transform the shifted replica of the stream so the injection is a
-	// flag flip, not per-request work: after the shift point workers index
-	// the shifted slice instead of the clean one.
-	var shifted []WorkItem
-	if cfg.ShiftAt > 0 {
-		if cfg.ShiftAt >= 1 {
-			return nil, fmt.Errorf("serve: -shift-at must be in (0,1), got %g", cfg.ShiftAt)
-		}
-		corr := cfg.ShiftCorruption
-		if corr.IsIdentity() {
-			corr = dataset.Corruption{Kind: dataset.CorruptFrost, Severity: 5}
-		}
-		srng := tensor.NewRNG(cp.Seed ^ 0xd21f7)
-		regime := "shifted:" + corr.String()
-		shifted = make([]WorkItem, len(items))
-		for i, it := range items {
-			it.X = corr.Apply(it.X, srng)
-			it.Regime = regime
-			shifted[i] = it
-		}
-	}
-
-	type tally struct {
-		requests, correct, known, routed, matched int
-	}
-	var (
-		next      atomic.Int64
-		requests  atomic.Uint64
-		errorsN   atomic.Uint64
-		rejected  atomic.Uint64
-		correct   atomic.Uint64
-		routedOK  atomic.Uint64
-		known     atomic.Uint64
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		regimes   = map[string]*tally{}
-		latencies = make([][]time.Duration, cfg.Concurrency)
-	)
 	start := time.Now()
-	deadline := time.Time{}
+	var deadline time.Time
 	if cfg.MaxDuration > 0 {
 		deadline = start.Add(cfg.MaxDuration)
 	}
@@ -259,250 +407,173 @@ func RunLoad(ctx context.Context, srv *Server, cp *service.Checkpoint, cfg LoadC
 	if cfg.TargetQPS > 0 {
 		interval = time.Duration(float64(time.Second) / cfg.TargetQPS)
 	}
-
-	// Optional mid-load hot swap, triggered off the shared work counter so
-	// it genuinely lands while clients are issuing requests: the snapshot
-	// is pre-built, then swapped the moment half the stream has been
-	// claimed (or half the time budget has elapsed, whichever comes
-	// first — the counter alone never crosses half when a deadline cuts a
-	// huge Repeat short).
-	swapDone := make(chan error, 1)
-	if cfg.SwapMidLoad {
-		go func() {
-			snap, err := SnapshotFromCheckpoint(cp)
-			if err != nil {
-				swapDone <- err
-				return
-			}
-			halfTime := time.Time{}
-			if cfg.MaxDuration > 0 {
-				halfTime = start.Add(cfg.MaxDuration / 2)
-			}
-			for next.Load() < total/2 && (halfTime.IsZero() || time.Now().Before(halfTime)) {
-				if ctx.Err() != nil {
-					swapDone <- nil
-					return
-				}
-				time.Sleep(200 * time.Microsecond)
-			}
-			if ctx.Err() == nil && next.Load() >= total {
-				// Every request has already been claimed: swapping now
-				// would land on an idle server, and the artifact would
-				// falsely present it as zero-drop-under-load evidence.
-				swapDone <- ErrSwapTooLate
-				return
-			}
-			swapDone <- srv.Swap(snap)
-		}()
+	fires := make([]firing, len(events))
+	for k, e := range events {
+		if e.At <= 0 || e.At >= 1 {
+			return nil, fmt.Errorf("serve: mid-load event fraction must be in (0,1), got %g", e.At)
+		}
+		fires[k].threshold = int64(e.At * float64(total))
+		if cfg.MaxDuration > 0 {
+			fires[k].when = start.Add(time.Duration(e.At * float64(cfg.MaxDuration)))
+		}
 	}
 
-	// Shift watcher: flips the regime the moment the injection point passes
-	// and records the watermarks detection latency is measured against. The
-	// flip is a single atomic the request loop reads — injection costs the
-	// hot path nothing until it fires, and one load afterwards.
 	var (
-		shiftOn      atomic.Bool
-		shiftClaimed uint64
-		shiftTeed    uint64
+		next   atomic.Int64
+		stream atomic.Pointer[[]WorkItem]
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		all    = newShard()
 	)
-	shiftDone := make(chan struct{})
-	if shifted != nil {
-		go func() {
-			defer close(shiftDone)
-			if cfg.MaxDuration > 0 {
-				at := start.Add(time.Duration(cfg.ShiftAt * float64(cfg.MaxDuration)))
-				for time.Now().Before(at) {
-					if ctx.Err() != nil || next.Load() >= total {
-						return
-					}
-					time.Sleep(200 * time.Microsecond)
-				}
-			} else {
-				at := int64(cfg.ShiftAt * float64(total))
-				for next.Load() < at {
-					if ctx.Err() != nil {
-						return
-					}
-					time.Sleep(200 * time.Microsecond)
-				}
-			}
-			if next.Load() >= total {
-				return // drained before the injection point: too late
-			}
-			shiftClaimed = uint64(next.Load())
-			if mon := srv.cfg.Monitor; mon != nil {
-				shiftTeed = mon.Teed()
-			}
-			shiftOn.Store(true)
-		}()
-	} else {
-		close(shiftDone)
-	}
-
-	// Requests are issued with an uncancellable context: the client loop
-	// checks ctx between iterations, so cancellation still lands within one
-	// request (microseconds), and predictAt's result wait can take the
-	// plain channel receive instead of selectgo — measurably cheaper at
-	// batched-pipeline throughput.
-	reqCtx := context.Background()
+	stream.Store(&items)
 	for w := 0; w < cfg.Concurrency; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			local := map[string]*tally{}
-			var lats []time.Duration
+			sh := newShard()
 			// root is reused across iterations: End copies the record
 			// into the tracer's ring, so the traced path allocates
 			// nothing per request.
 			var root telemetry.Span
-			// The deadline is checked against the previous iteration's
-			// completion instant (t0 + lat) instead of a fresh clock
-			// read: at batched-pipeline throughput an extra time.Now
-			// per request is a measurable tax, and the deadline only
-			// needs request-granularity precision anyway.
+			// The deadline and time-based events are checked against the
+			// previous iteration's completion instant (t0 + lat) instead
+			// of a fresh clock read: at batched-pipeline throughput an
+			// extra time.Now per request is a measurable tax, and both
+			// only need request-granularity precision.
 			var now time.Time
 			for {
 				i := next.Add(1) - 1
-				if i >= total {
-					break
-				}
-				if ctx.Err() != nil {
+				if i >= total || ctx.Err() != nil {
 					break
 				}
 				if !deadline.IsZero() && !now.IsZero() && now.After(deadline) {
 					break
 				}
+				for k := range fires {
+					if !fires[k].due(i, now) {
+						continue
+					}
+					if e := &events[k]; e.Fire != nil {
+						if err := e.Fire(); err != nil && sh.fireErr == nil {
+							sh.fireErr = err
+						}
+					}
+					if s := events[k].Stream; s != nil {
+						stream.Store(&s)
+					}
+				}
 				if interval > 0 {
-					sched := start.Add(time.Duration(i) * interval)
-					if d := time.Until(sched); d > 0 {
+					if d := time.Until(start.Add(time.Duration(i) * interval)); d > 0 {
 						time.Sleep(d)
 					}
 				}
-				item := items[i%int64(len(items))]
-				if shifted != nil && shiftOn.Load() {
-					item = shifted[i%int64(len(items))]
-				}
+				s := *stream.Load()
+				it := &s[i%int64(len(s))]
 				t0 := time.Now()
-				// The root span rides the timestamps the load generator
-				// takes anyway (t0 and the latency measurement), so the
-				// traced phase adds no clock reads here; PredictSpan
-				// takes the parent explicitly to skip a per-request
-				// context allocation.
 				cfg.Tracer.BeginAt(&root, "loadgen.predict", telemetry.SpanContext{}, t0)
-				res, err := srv.predictAt(reqCtx, item.X, &root, t0)
+				a, err := t.Predict(ctx, i, it, &root, t0)
 				lat := time.Since(t0)
 				now = t0.Add(lat)
 				if cfg.Tracer != nil {
 					root.SetError(err)
-					root.EndAt(t0.Add(lat))
+					root.EndAt(now)
 				}
-				switch {
-				case errors.Is(err, ErrOverloaded):
-					rejected.Add(1)
-					continue
-				case err != nil:
-					errorsN.Add(1)
-					continue
-				}
-				lats = append(lats, lat)
-				requests.Add(1)
-				tl := local[item.Regime]
-				if tl == nil {
-					tl = &tally{}
-					local[item.Regime] = tl
-				}
-				tl.requests++
-				if res.Class == item.Y {
-					correct.Add(1)
-					tl.correct++
-				}
-				if res.Matched {
-					tl.matched++
-				}
-				if item.Assigned >= 0 {
-					known.Add(1)
-					tl.known++
-					if res.Expert == item.Assigned {
-						routedOK.Add(1)
-						tl.routed++
-					}
-				}
+				sh.record(it, &a, err, lat)
 			}
 			mu.Lock()
-			for k, v := range local {
-				g := regimes[k]
-				if g == nil {
-					g = &tally{}
-					regimes[k] = g
-				}
-				g.requests += v.requests
-				g.correct += v.correct
-				g.known += v.known
-				g.routed += v.routed
-				g.matched += v.matched
-			}
-			latencies[w] = lats
+			all.merge(sh)
 			mu.Unlock()
-		}(w)
+		}()
 	}
 	wg.Wait()
-	// Duration is the load window itself; waiting out the swap goroutine
-	// below must not count, or throughput would read deflated.
 	elapsed := time.Since(start)
-	if cfg.SwapMidLoad {
-		if err := <-swapDone; err != nil {
-			return nil, fmt.Errorf("serve: mid-load swap: %w", err)
-		}
+	if all.fireErr != nil {
+		return nil, fmt.Errorf("serve: mid-load event: %w", all.fireErr)
 	}
-	<-shiftDone
-	if shifted != nil && !shiftOn.Load() {
-		if ctx.Err() == nil {
-			return nil, ErrShiftTooLate
+	for k := range fires {
+		if !fires[k].done.Load() && ctx.Err() == nil {
+			return nil, ErrTooLate
 		}
 	}
 
-	out := &LoadResult{
-		Requests:         requests.Load(),
-		Errors:           errorsN.Load(),
-		Rejected:         rejected.Load(),
-		Duration:         elapsed,
-		Correct:          correct.Load(),
-		RoutedToAssigned: routedOK.Load(),
-		AssignedKnown:    known.Load(),
-		Server:           srv.Metrics().Snapshot(),
-		ShiftInjected:    shiftOn.Load(),
-		ShiftAtRequest:   shiftClaimed,
-		ShiftTeedSamples: shiftTeed,
-	}
-	var all []time.Duration
-	for _, l := range latencies {
-		all = append(all, l...)
-	}
-	if len(all) > 0 {
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		q := func(p float64) time.Duration {
-			i := int(p * float64(len(all)))
-			if i >= len(all) {
-				i = len(all) - 1
-			}
-			return all[i]
-		}
+	out := &all.res
+	out.Duration = elapsed
+	out.Regimes = sortedGroups(all.regimes)
+	out.Models = sortedGroups(all.models)
+	out.ByReplica = all.replicas
+	if lats := all.lats; len(lats) > 0 {
+		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		q := func(p float64) time.Duration { return lats[min(int(p*float64(len(lats))), len(lats)-1)] }
 		out.LatencyP50, out.LatencyP90, out.LatencyP99 = q(0.50), q(0.90), q(0.99)
-		out.LatencyMax = all[len(all)-1]
-	}
-	names := make([]string, 0, len(regimes))
-	for k := range regimes {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		t := regimes[k]
-		out.Regimes = append(out.Regimes, RegimeResult{
-			Regime: k, Requests: t.requests, Correct: t.correct,
-			AssignedKnown: t.known, RoutedToAssigned: t.routed, Matched: t.matched,
-		})
+		out.LatencyMax = lats[len(lats)-1]
 	}
 	return out, nil
+}
+
+// serverTarget drives a Server in process on its zero-alloc path.
+type serverTarget struct{ s *Server }
+
+// Target returns the in-process load target for s.
+func (s *Server) Target() Target { return serverTarget{s} }
+
+// Predict sends the request with an uncancellable context: the driver checks
+// ctx between requests, so cancellation still lands within one request
+// (microseconds), and predictAt's result wait can take the plain channel
+// receive instead of selectgo — measurably cheaper at batched-pipeline
+// throughput. The root span rides the driver's own timestamps, so the
+// traced path adds no clock reads.
+func (t serverTarget) Predict(_ context.Context, _ int64, it *WorkItem, root *telemetry.Span, t0 time.Time) (Answer, error) {
+	res, err := t.s.predictAt(context.Background(), it.X, root, t0)
+	return Answer{Class: res.Class, Expert: res.Expert, Matched: res.Matched}, err
+}
+
+// RunServerLoad replays the checkpoint's scenario stream against srv in
+// process, with cfg's mid-load swap (at half the run) and shift injection
+// (at cfg.ShiftAt) as events, and records the server's counters at run
+// end. srv must be serving a snapshot built from cp (the workload and
+// routing ground truth are regenerated from the checkpoint's seed and
+// assignment).
+func RunServerLoad(ctx context.Context, srv *Server, cp *service.Checkpoint, cfg LoadConfig) (*LoadResult, error) {
+	items, err := Workload(cp, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var events []Event
+	if cfg.SwapMidLoad {
+		snap, err := SnapshotFromCheckpoint(cp)
+		if err != nil {
+			return nil, err
+		}
+		events = append(events, Event{At: 0.5, Fire: func() error { return srv.Swap(snap) }})
+	}
+	var (
+		injected bool
+		teed     uint64
+	)
+	if cfg.ShiftAt > 0 {
+		corr := cfg.ShiftCorruption
+		if corr.IsIdentity() {
+			corr = DefaultShift
+		}
+		events = append(events, Event{
+			At:     cfg.ShiftAt,
+			Stream: ShiftItems(items, corr, cp.Seed),
+			Fire: func() error {
+				if mon := srv.cfg.Monitor; mon != nil {
+					teed = mon.Teed()
+				}
+				injected = true
+				return nil
+			},
+		})
+	}
+	res, err := RunLoad(ctx, srv.Target(), items, cfg, events...)
+	if err != nil {
+		return nil, err
+	}
+	res.Server = srv.Metrics().Snapshot()
+	res.ShiftInjected, res.ShiftTeedSamples = injected, teed
+	return res, nil
 }
 
 // Artifact converts a load result into the versioned BENCH_serving.json
@@ -512,14 +583,13 @@ func RunLoad(ctx context.Context, srv *Server, cp *service.Checkpoint, cfg LoadC
 // the coldTraffic option flag, so the honest no-cache number can never be
 // mistaken for the warm one.
 func (r *LoadResult) Artifact(cp *service.Checkpoint, cfg LoadConfig, srvCfg Config) *experiments.ServingArtifact {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	srvCfg = srvCfg.withDefaults()
 	cold := srvCfg.CacheSize < 0
 	name := experiments.ServingArtifactName
 	if cold {
 		name = experiments.ServingColdArtifactName
 	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 	a := &experiments.ServingArtifact{
 		Schema: experiments.ServingSchemaVersion,
 		Name:   name,
@@ -534,7 +604,7 @@ func (r *LoadResult) Artifact(cp *service.Checkpoint, cfg LoadConfig, srvCfg Con
 			Repeat:            cfg.Repeat,
 			Workers:           srvCfg.Workers,
 			MaxBatch:          srvCfg.MaxBatch,
-			MaxDelayMs:        ms(srvCfg.MaxDelay),
+			MaxDelayMs:        Millis(srvCfg.MaxDelay),
 			CacheSize:         srvCfg.CacheSize,
 			RouteEpsilonScale: srvCfg.RouteEpsilonScale,
 			SwapMidLoad:       cfg.SwapMidLoad,
@@ -543,12 +613,12 @@ func (r *LoadResult) Artifact(cp *service.Checkpoint, cfg LoadConfig, srvCfg Con
 		Requests:         r.Requests,
 		Errors:           r.Errors,
 		Rejected:         r.Rejected,
-		DurationMs:       ms(r.Duration),
+		DurationMs:       Millis(r.Duration),
 		ThroughputPerSec: r.Throughput(),
-		LatencyMsP50:     ms(r.LatencyP50),
-		LatencyMsP90:     ms(r.LatencyP90),
-		LatencyMsP99:     ms(r.LatencyP99),
-		LatencyMsMax:     ms(r.LatencyMax),
+		LatencyMsP50:     Millis(r.LatencyP50),
+		LatencyMsP90:     Millis(r.LatencyP90),
+		LatencyMsP99:     Millis(r.LatencyP99),
+		LatencyMsMax:     Millis(r.LatencyMax),
 		Accuracy:         r.Accuracy(),
 		RoutedToAssigned: r.RoutingAccuracy(),
 		Swaps:            r.Server.Swaps,
@@ -558,17 +628,17 @@ func (r *LoadResult) Artifact(cp *service.Checkpoint, cfg LoadConfig, srvCfg Con
 		a.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	for _, g := range r.Regimes {
-		reg := experiments.ServingRegime{Regime: g.Regime, Requests: g.Requests}
-		if g.Requests > 0 {
-			reg.Accuracy = float64(g.Correct) / float64(g.Requests)
-			reg.MatchedFraction = float64(g.Matched) / float64(g.Requests)
-		}
-		// Same denominator as the aggregate RoutingAccuracy: only the
-		// requests whose party has a recorded assignment.
-		if g.AssignedKnown > 0 {
-			reg.RoutedToAssigned = float64(g.RoutedToAssigned) / float64(g.AssignedKnown)
-		}
-		a.Regimes = append(a.Regimes, reg)
+		a.Regimes = append(a.Regimes, experiments.ServingRegime{
+			Regime:           g.Name,
+			Requests:         int(g.Requests),
+			Accuracy:         g.Accuracy(),
+			RoutedToAssigned: g.RoutingAccuracy(),
+			MatchedFraction:  g.MatchedFraction(),
+		})
 	}
 	return a
 }
+
+// Millis renders a duration in the artifacts' millisecond unit, at
+// microsecond resolution.
+func Millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }

@@ -102,7 +102,7 @@ func TestServerMonitorDetectsInjectedShift(t *testing.T) {
 	cfg := tinyLoadConfig()
 	cfg.Repeat = 40
 	cfg.ShiftAt = 0.5
-	res, err := RunLoad(context.Background(), srv, cp, cfg)
+	res, err := RunServerLoad(context.Background(), srv, cp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDriftEndpointThroughServer(t *testing.T) {
 
 	cfg := tinyLoadConfig()
 	cfg.Repeat = 4
-	if _, err := RunLoad(context.Background(), srv, cp, cfg); err != nil {
+	if _, err := RunServerLoad(context.Background(), srv, cp, cfg); err != nil {
 		t.Fatal(err)
 	}
 	mon.Flush()
@@ -233,7 +233,7 @@ func TestExpertRequestCounters(t *testing.T) {
 	defer srv.Close()
 
 	cfg := tinyLoadConfig()
-	res, err := RunLoad(context.Background(), srv, cp, cfg)
+	res, err := RunServerLoad(context.Background(), srv, cp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@
 # loadgen pass (route cache disabled) regenerates BENCH_serving-cold.json
 # and additionally gates on the mean micro-batch size — proof that the
 # batched GEMM pipeline engages when every request pays the full routing
-# path. A final closed-loop pass runs -adaptbench: the continual
+# path. A short -tracebench run exercises the interleaved trial-pair
+# protocol with no timing gate, and the committed BENCH_tracing.json is
+# held to its 5% overhead gate. A final closed-loop pass runs -adaptbench: the continual
 # controller must detect an injected shift, train new experts from the
 # live sketches, and hot-swap with zero dropped requests, gated with
 # -check-adapt. CI runs this on every commit; it is also runnable
@@ -111,6 +113,16 @@ echo "== cold artifact gate (>=10k predictions/sec, mean batch >= 2, vs committe
 "$BIN/shiftex-serve" -check "$WORKDIR/BENCH_serving-cold.json" \
     -min-throughput 10000 -min-mean-batch 2 -against BENCH_serving-cold.json \
     || fail "cold serving artifact did not validate"
+
+echo "== tracing-overhead bench (short; no timing gate on a shared runner)"
+"$BIN/shiftex-serve" -checkpoint "$CKPT" -tracebench \
+    -samples "$SAMPLES" -test "$TEST" -repeat 20 -concurrency 8 -trials 2 \
+    -max-overhead 0 >"$LOG/serve.log" 2>&1 \
+    || fail "tracing-overhead bench failed"
+
+echo "== committed tracing artifact gate (overhead <= 5%)"
+"$BIN/shiftex-serve" -check-tracing BENCH_tracing.json \
+    || fail "committed tracing artifact did not validate"
 
 echo "== drift detection under an injected shift (~2s, cold, frost/5 at 50%)"
 # Cold traffic because route-cache hits skip embedding and are invisible to
