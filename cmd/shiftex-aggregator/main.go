@@ -93,7 +93,7 @@ func run(args []string) error {
 	checkpoint := fs.String("checkpoint", "", "checkpoint file written after every completed window")
 	resume := fs.Bool("resume", false, "resume from -checkpoint instead of starting at window 0")
 	policyName := fs.String("policy", "", "adaptation policy the aggregator runs (empty = default); on -resume the checkpoint's policy is pinned and a conflicting flag is an error")
-	httpAddr := fs.String("http", "", "serve /healthz, /state, /metrics on this address (empty = off)")
+	httpAddr := fs.String("http", "", "serve /v1/healthz, /v1/state, /v1/metrics on this address (empty = off)")
 	debugAddr := fs.String("debug-addr", "", "serve /v1/debug/pprof/ and /v1/debug/traces on this extra address (empty = off)")
 	traceBuffer := fs.Int("trace-buffer", telemetry.DefaultRingSize, "span ring-buffer capacity for /v1/debug/traces")
 	if err := fs.Parse(args); err != nil {
@@ -233,7 +233,7 @@ func run(args []string) error {
 			}
 		}()
 		defer srv.Close()
-		fmt.Printf("observability on http://%s (/v1/healthz /v1/state /v1/metrics; unversioned aliases deprecated)\n", *httpAddr)
+		fmt.Printf("observability on http://%s (/v1/healthz /v1/state /v1/metrics)\n", *httpAddr)
 	}
 	logger.Info("listening", "addr", *httpAddr, "parties", nparties,
 		"windows", windows, "policy", rt.Aggregator().PolicyName(),

@@ -35,6 +35,21 @@
 // any run.
 //
 // Scale and seeds are configurable; -paper approximates the full protocol.
+//
+// The serving stack's benchmarks are subcommands; each writes one
+// versioned artifact and only check applies a gate:
+//
+//	load        replay the checkpoint's scenario against an in-process
+//	            server (BENCH_serving.json, -cold BENCH_serving-cold.json),
+//	            or with -url over HTTP against a running shiftex-gateway,
+//	            optionally SIGKILLing a replica mid-load (BENCH_gateway.json)
+//	tracebench  tracing overhead, interleaved trial pairs (BENCH_tracing.json)
+//	driftbench  drift detection and monitoring overhead (BENCH_drift.json)
+//	adaptbench  the closed detect → adapt → swap loop (BENCH_adapt-live.json)
+//	check FILE  decode an artifact by its name and apply that kind's gate
+//
+//	shiftex-bench load -checkpoint ckpt.json -samples 40 -test 20 -cold -duration 2s -json out
+//	shiftex-bench check -min-throughput 10000 -min-mean-batch 2 out/BENCH_serving-cold.json
 package main
 
 import (
@@ -47,6 +62,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -82,6 +98,11 @@ func nameHint() string {
 }
 
 func run(args []string) error {
+	if len(args) > 0 {
+		if sub, ok := subcommands[args[0]]; ok {
+			return sub(args[1:])
+		}
+	}
 	fs := flag.NewFlagSet("shiftex-bench", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment id (see package doc)")
 	paper := fs.Bool("paper", false, "use paper-scale protocol (slow)")
@@ -101,6 +122,14 @@ func run(args []string) error {
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		names := make([]string, 0, len(subcommands))
+		for n := range subcommands {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		return fmt.Errorf("unknown subcommand %q (subcommands: %s; grid flags come without one)", fs.Arg(0), strings.Join(names, ", "))
 	}
 
 	// Flag-combination validation happens before any mode dispatch so that

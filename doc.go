@@ -33,9 +33,12 @@
 // snapshot and serves predictions over HTTP, routing each request to the
 // expert whose latent memory matches the request's embedding signature
 // (with the global model as fallback) through a micro-batching pool of
-// zero-allocation workspaces. Its load generator replays the training
-// scenario against the server and records throughput, latency quantiles,
-// and per-regime routing accuracy as the committed BENCH_serving.json.
+// zero-allocation workspaces. The daemons are only daemons: every serving
+// benchmark is a cmd/shiftex-bench subcommand. Its load run replays the
+// training scenario against the server and records throughput, latency
+// quantiles, and per-regime routing accuracy as the committed
+// BENCH_serving.json, and shiftex-bench check is the one gate every
+// committed serving-side artifact passes.
 //
 // internal/gateway scales that to a fleet: cmd/shiftex-gateway fronts many
 // named models, each served by multiple shiftex-serve replicas, routing
@@ -44,9 +47,9 @@
 // logging) selected by name from config per route group. Every daemon
 // speaks the same versioned /v1 HTTP surface defined in internal/httpapi
 // — one predict/state/metrics schema across aggregator, serve, and
-// gateway, with deprecated unversioned aliases. The gateway's
-// multi-process load generator SIGKILLs a replica mid-load and records
-// the run as the committed BENCH_gateway.json (zero dropped requests,
+// gateway. The HTTP load run against a gateway fleet (shiftex-bench load
+// -url) SIGKILLs a replica mid-load and records the run as the committed
+// BENCH_gateway.json (zero dropped requests,
 // full affinity retention for surviving replicas).
 //
 // internal/monitor watches that serving traffic drift: the batched routing

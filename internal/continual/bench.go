@@ -30,9 +30,9 @@ type BenchConfig struct {
 	// Monitor tunes the drift monitor (zero values = package defaults).
 	Monitor monitor.Config
 	// Controller tunes the adaptation controller (zero values = package
-	// defaults). The cooldown should exceed the post-swap evaluation pass
-	// (sub-second) so a second window cannot reshuffle assignments while
-	// recovery is being scored.
+	// defaults, except a zero Cooldown, which the benchmark holds at one
+	// minute: it must outlast the post-swap evaluation pass so a second
+	// window cannot reshuffle assignments while recovery is being scored).
 	Controller Config
 	// Serve tunes the serving pipeline. The route cache is force-disabled
 	// (every request must tee into the monitor) and the benchmark owns the
@@ -60,6 +60,9 @@ func (c BenchConfig) withDefaults() BenchConfig {
 	}
 	if c.Corruption.IsIdentity() {
 		c.Corruption = serve.DefaultShift
+	}
+	if c.Controller.Cooldown <= 0 {
+		c.Controller.Cooldown = time.Minute
 	}
 	if c.CalibrationTimeout <= 0 {
 		c.CalibrationTimeout = 60 * time.Second

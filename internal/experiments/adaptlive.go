@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 )
 
 // AdaptLiveSchemaVersion is bumped whenever the BENCH_adapt-live.json
@@ -121,6 +122,22 @@ func (a *AdaptLiveArtifact) Validate() error {
 			a.SwappedFromVersion, a.SwappedToVersion)
 	}
 	return nil
+}
+
+// Summary prints the artifact's headline numbers: traffic and detection,
+// the adaptation window, and the recovery over the frozen snapshot.
+func (a *AdaptLiveArtifact) Summary(w io.Writer) {
+	fmt.Fprintf(w, "adapt-live artifact ok: requests=%d errors=%d rejected=%d shiftAtSample=%d — %s\n",
+		a.Requests, a.Errors, a.Rejected, a.ShiftAtSample,
+		detectionVerdict(a.Detected, a.DetectedAtSample, a.DetectionLatencySamples, a.ScoreAtDetection))
+	fmt.Fprintf(w, "  loop: windows completed=%d rolledBack=%d rejected=%d, snapshot v%d→v%d, window=%.0fms, shift→swap=%.0fms, experts %d→%d (+%d new, %d merged)\n",
+		a.WindowsCompleted, a.WindowsRolledBack, a.WindowsRejected,
+		a.SwappedFromVersion, a.SwappedToVersion, a.WindowDurationMs, a.AdaptLatencyMs,
+		a.ExpertsBefore, a.ExpertsAfter, a.NewExperts, a.Merged)
+	fmt.Fprintf(w, "  recovery: shifted routing %.3f → %.3f, shifted accuracy %.3f → %.3f (validation matched %.3f → %.3f over %d held-back samples)\n",
+		a.FrozenShiftedRouted, a.PostSwapShiftedRouted,
+		a.FrozenShiftedAccuracy, a.PostSwapShiftedAccuracy,
+		a.ValidationBaselineMatched, a.ValidationCandidateMatched, a.ValidationSamples)
 }
 
 // CheckAdaptLive enforces the CI gate: the closed loop must have worked end

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -119,19 +120,39 @@ func (a *DriftArtifact) Validate() error {
 	return nil
 }
 
+// DriftOverheadBudget is the drift gate's cost bound: monitoring may cost
+// at most this percent of baseline throughput.
+const DriftOverheadBudget = 3.0
+
+// Summary prints the artifact's headline numbers on one line.
+func (a *DriftArtifact) Summary(w io.Writer) {
+	fmt.Fprintf(w, "drift artifact ok: baseline=%.0f/s monitored=%.0f/s overhead=%.2f%% samples=%d dropped=%d evals=%d shiftAtSample=%d falsePositives=%d maxScore=%.2f — %s\n",
+		a.BaselineThroughputPerSec, a.MonitoredThroughputPerSec, a.OverheadPercent,
+		a.SamplesSeen, a.SamplesDropped, a.Evals, a.ShiftAtSample, a.FalsePositives, a.MaxScore,
+		detectionVerdict(a.Detected, a.DetectedAtSample, a.DetectionLatencySamples, a.ScoreAtDetection))
+}
+
+// detectionVerdict renders a tee-clock detection record.
+func detectionVerdict(detected bool, at, latency uint64, score float64) string {
+	if !detected {
+		return "shift NOT detected"
+	}
+	return fmt.Sprintf("detected at sample %d (latency %d samples, score %.2f)", at, latency, score)
+}
+
 // CheckDrift enforces the CI gate: the injected shift must have been
 // detected, with zero pre-shift threshold crossings, at a monitoring
-// overhead of no more than maxOverheadPercent of baseline throughput.
-func (a *DriftArtifact) CheckDrift(maxOverheadPercent float64) error {
+// overhead of no more than DriftOverheadBudget of baseline throughput.
+func (a *DriftArtifact) CheckDrift() error {
 	switch {
 	case !a.Detected:
 		return fmt.Errorf("experiments: drift monitor never crossed the threshold after the injected shift (max score %.3f vs threshold %.3f over %d evals)",
 			a.MaxScore, a.Options.Threshold, a.Evals)
 	case a.FalsePositives != 0:
 		return fmt.Errorf("experiments: drift monitor crossed the threshold %d time(s) before the injected shift", a.FalsePositives)
-	case a.OverheadPercent > maxOverheadPercent:
+	case a.OverheadPercent > DriftOverheadBudget:
 		return fmt.Errorf("experiments: drift monitoring overhead %.2f%% exceeds the %.2f%% budget (baseline %.0f/s, monitored %.0f/s)",
-			a.OverheadPercent, maxOverheadPercent, a.BaselineThroughputPerSec, a.MonitoredThroughputPerSec)
+			a.OverheadPercent, DriftOverheadBudget, a.BaselineThroughputPerSec, a.MonitoredThroughputPerSec)
 	}
 	return nil
 }

@@ -111,28 +111,28 @@ func TestDriftArtifactValidate(t *testing.T) {
 
 func TestDriftArtifactCheckDrift(t *testing.T) {
 	a := validDriftArtifact()
-	if err := a.CheckDrift(3); err != nil {
+	if err := a.CheckDrift(); err != nil {
 		t.Errorf("valid artifact should pass a 3%% gate: %v", err)
 	}
 	a.OverheadPercent = 7.2
-	if err := a.CheckDrift(3); err == nil {
+	if err := a.CheckDrift(); err == nil {
 		t.Error("7.2% overhead should fail a 3% gate")
 	}
 	a = validDriftArtifact()
 	a.Detected = false
-	if err := a.CheckDrift(3); err == nil {
+	if err := a.CheckDrift(); err == nil {
 		t.Error("undetected shift should fail the gate")
 	}
 	a = validDriftArtifact()
 	a.FalsePositives = 2
-	if err := a.CheckDrift(3); err == nil {
+	if err := a.CheckDrift(); err == nil {
 		t.Error("pre-shift crossings should fail the gate")
 	}
 	// Negative overhead (monitored faster than baseline, i.e. noise)
 	// passes.
 	a = validDriftArtifact()
 	a.OverheadPercent = -0.3
-	if err := a.CheckDrift(3); err != nil {
+	if err := a.CheckDrift(); err != nil {
 		t.Errorf("negative overhead should pass: %v", err)
 	}
 }

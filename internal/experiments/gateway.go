@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 )
 
 // GatewaySchemaVersion is bumped whenever the BENCH_gateway.json layout
@@ -129,4 +130,30 @@ func (a *GatewayArtifact) MinAffinityRetained() float64 {
 		}
 	}
 	return min
+}
+
+// Summary prints the artifact's headline numbers on one line.
+func (a *GatewayArtifact) Summary(w io.Writer) {
+	fmt.Fprintf(w, "gateway artifact ok: requests=%d errors=%d retried=%d throughputPerSec=%.0f p99Ms=%.3g accuracy=%.3f failovers=%d evictions=%d minAffinity=%.3f models=%d\n",
+		a.Requests, a.Errors, a.Retried, a.ThroughputPerSec, a.LatencyMsP99,
+		a.Accuracy, a.Failovers, a.Evictions, a.MinAffinityRetained(), len(a.Models))
+}
+
+// CheckGateway enforces the gateway gate: no request failed after client
+// retries, and, when the bounds are positive, at least minThroughput
+// predictions/s and, across the run's replica kill, at least minAffinity
+// of the surviving-owner keys kept their owner. An affinity bound on a run
+// without a kill is an error: there was no shrink to measure.
+func (a *GatewayArtifact) CheckGateway(minThroughput, minAffinity float64) error {
+	switch {
+	case a.Errors > 0:
+		return fmt.Errorf("experiments: gateway artifact records %d requests failed after retries", a.Errors)
+	case minThroughput > 0 && a.ThroughputPerSec < minThroughput:
+		return fmt.Errorf("experiments: gateway throughput %.0f/s below required %.0f/s", a.ThroughputPerSec, minThroughput)
+	case minAffinity > 0 && !a.Options.KillReplica:
+		return errors.New("experiments: affinity bound set but the gateway artifact records no replica kill")
+	case minAffinity > 0 && a.MinAffinityRetained() < minAffinity:
+		return fmt.Errorf("experiments: affinity retention %.3f below required %.3f", a.MinAffinityRetained(), minAffinity)
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 )
 
 // ServingSchemaVersion is bumped whenever the BENCH_serving.json layout
@@ -109,6 +110,46 @@ func (a *ServingArtifact) Validate() error {
 		if r.Requests <= 0 {
 			return fmt.Errorf("experiments: serving regime %q records no requests", r.Regime)
 		}
+	}
+	return nil
+}
+
+// Summary prints the artifact's headline numbers on one line.
+func (a *ServingArtifact) Summary(w io.Writer) {
+	fmt.Fprintf(w, "serving artifact ok: name=%s requests=%d errors=%d throughputPerSec=%.0f p99Ms=%.3g accuracy=%.3f routing=%.3f meanBatch=%.2f regimes=%d swaps=%d\n",
+		a.Name, a.Requests, a.Errors, a.ThroughputPerSec, a.LatencyMsP99, a.Accuracy, a.RoutedToAssigned, a.MeanBatch, len(a.Regimes), a.Swaps)
+}
+
+// CheckServing enforces the serving gate: no errored request, and, when
+// the bounds are positive, at least minThroughput predictions/s and a
+// mean micro-batch of at least minMeanBatch (the proof that batching
+// engaged under load).
+func (a *ServingArtifact) CheckServing(minThroughput, minMeanBatch float64) error {
+	switch {
+	case a.Errors > 0:
+		return fmt.Errorf("experiments: serving artifact records %d errored requests", a.Errors)
+	case minThroughput > 0 && a.ThroughputPerSec < minThroughput:
+		return fmt.Errorf("experiments: serving throughput %.0f/s below required %.0f/s", a.ThroughputPerSec, minThroughput)
+	case minMeanBatch > 0 && a.MeanBatch < minMeanBatch:
+		return fmt.Errorf("experiments: mean batch size %.2f below required %.2f (micro-batching did not engage)", a.MeanBatch, minMeanBatch)
+	}
+	return nil
+}
+
+// CompareThroughput prints a's throughput against a baseline artifact of
+// the same name, read from basePath, and a GitHub ::warning:: annotation
+// when it regressed by more than 20%. It warns rather than fails because
+// absolute throughput is machine-dependent.
+func (a *ServingArtifact) CompareThroughput(w io.Writer, base *ServingArtifact, basePath string) error {
+	if base.Name != a.Name {
+		return fmt.Errorf("experiments: baseline %s is a %q artifact, cannot compare against %q", basePath, base.Name, a.Name)
+	}
+	ratio := a.ThroughputPerSec / base.ThroughputPerSec
+	fmt.Fprintf(w, "vs baseline %s: %.0f/s -> %.0f/s (%+.1f%%)\n",
+		basePath, base.ThroughputPerSec, a.ThroughputPerSec, (ratio-1)*100)
+	if ratio < 0.8 {
+		fmt.Fprintf(w, "::warning file=%s::serving throughput regressed %.1f%% vs committed baseline (%.0f/s -> %.0f/s)\n",
+			basePath, (1-ratio)*100, base.ThroughputPerSec, a.ThroughputPerSec)
 	}
 	return nil
 }

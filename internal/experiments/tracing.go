@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"io"
 )
 
 // TracingSchemaVersion is bumped whenever the BENCH_tracing.json layout
@@ -79,12 +80,23 @@ func (a *TracingArtifact) Validate() error {
 	return nil
 }
 
+// TracingOverheadBudget is the tracing gate: the traced run may cost at
+// most this percent of baseline throughput.
+const TracingOverheadBudget = 5.0
+
+// Summary prints the artifact's headline numbers on one line.
+func (a *TracingArtifact) Summary(w io.Writer) {
+	fmt.Fprintf(w, "tracing artifact ok: baseline=%.0f/s traced=%.0f/s overhead=%.2f%% spans=%d (baseline p99=%.3gms traced p99=%.3gms)\n",
+		a.BaselineThroughputPerSec, a.TracedThroughputPerSec, a.OverheadPercent,
+		a.SpansRecorded, a.BaselineLatencyMsP99, a.TracedLatencyMsP99)
+}
+
 // CheckOverhead enforces the gate: the traced run must not cost more
-// than maxPercent of baseline throughput.
-func (a *TracingArtifact) CheckOverhead(maxPercent float64) error {
-	if a.OverheadPercent > maxPercent {
+// than TracingOverheadBudget of baseline throughput.
+func (a *TracingArtifact) CheckOverhead() error {
+	if a.OverheadPercent > TracingOverheadBudget {
 		return fmt.Errorf("experiments: tracing overhead %.2f%% exceeds the %.2f%% budget (baseline %.0f/s, traced %.0f/s)",
-			a.OverheadPercent, maxPercent, a.BaselineThroughputPerSec, a.TracedThroughputPerSec)
+			a.OverheadPercent, TracingOverheadBudget, a.BaselineThroughputPerSec, a.TracedThroughputPerSec)
 	}
 	return nil
 }

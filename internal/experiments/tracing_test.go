@@ -83,17 +83,17 @@ func TestTracingArtifactValidate(t *testing.T) {
 
 func TestTracingArtifactCheckOverhead(t *testing.T) {
 	a := validTracingArtifact()
-	if err := a.CheckOverhead(5); err != nil {
+	if err := a.CheckOverhead(); err != nil {
 		t.Errorf("1.47%% should pass a 5%% gate: %v", err)
 	}
 	a.OverheadPercent = 7.2
-	if err := a.CheckOverhead(5); err == nil {
+	if err := a.CheckOverhead(); err == nil {
 		t.Error("7.2% should fail a 5% gate")
 	}
 	// Negative overhead (traced faster than baseline, i.e. noise) is
 	// valid and passes.
 	a.OverheadPercent = -0.3
-	if err := a.CheckOverhead(5); err != nil {
+	if err := a.CheckOverhead(); err != nil {
 		t.Errorf("negative overhead should pass: %v", err)
 	}
 }

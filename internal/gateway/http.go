@@ -25,8 +25,7 @@ import (
 //	GET  /v1/healthz        liveness
 //	GET  /v1/metrics        Prometheus text (shared JSON with ?format=json)
 //
-// The "predict" middleware chain wraps /v1/predict (and its deprecated
-// /predict alias); the "admin" chain wraps snapshot swap and replica
+// The "predict" middleware chain wraps /v1/predict; the "admin" chain wraps snapshot swap and replica
 // registration. Observability routes are unchained so a misbehaving rate
 // limit can never blind the operator diagnosing it.
 func (g *Gateway) Handler() http.Handler {
@@ -46,9 +45,6 @@ func (g *Gateway) Handler() http.Handler {
 		// Read g.tracer per request: SetTracer may run after Handler.
 		telemetry.TracesHandler(g.tracer).ServeHTTP(w, r)
 	})
-	api.Deprecated("/predict", "/v1/predict", predict.ServeHTTP)
-	api.Deprecated("/healthz", "/v1/healthz", g.handleHealthz)
-	api.Deprecated("/metrics", "/v1/metrics", g.handleMetrics)
 	return api.Handler()
 }
 

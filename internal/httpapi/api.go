@@ -8,10 +8,9 @@ import (
 )
 
 // API assembles a daemon's versioned HTTP surface. Handlers register under
-// /v1 with Handle; pre-versioning paths stay reachable through Deprecated,
-// which answers with a Deprecation header and a successor-version Link so
-// clients can migrate. Handler() serves the result, answering unknown paths
-// with a 404 that lists the live /v1 surface.
+// /v1 with Handle; Handler() serves the result, answering unknown paths
+// (the retired unversioned ones included) with a 404 that lists the live
+// /v1 surface.
 type API struct {
 	mux       *http.ServeMux
 	routes    []string // live v1 surface, "METHOD /v1/path" or "/v1/path"
@@ -23,25 +22,13 @@ func NewAPI() *API { return &API{mux: http.NewServeMux()} }
 
 // Handle registers a live /v1 route. pattern is a net/http ServeMux pattern
 // whose path begins with /v1 (e.g. "POST /v1/predict", "GET /v1/models/{name}",
-// or "/v1/metrics" for any method); it panics otherwise — a route outside
-// /v1 belongs in Deprecated.
+// or "/v1/metrics" for any method); it panics otherwise.
 func (a *API) Handle(pattern string, h http.HandlerFunc) {
 	if !strings.Contains(pattern, V1Prefix+"/") && !strings.HasSuffix(pattern, V1Prefix) {
 		panic(fmt.Sprintf("httpapi: route %q is not under %s", pattern, V1Prefix))
 	}
 	a.mux.HandleFunc(pattern, h)
 	a.routes = append(a.routes, pattern)
-}
-
-// Deprecated keeps a pre-versioning path alive as an alias for a /v1 route.
-// Responses carry `Deprecation: true` and a Link header naming the successor
-// so operators notice before the alias is retired.
-func (a *API) Deprecated(oldPattern, successorPath string, h http.HandlerFunc) {
-	a.mux.HandleFunc(oldPattern, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successorPath))
-		h(w, r)
-	})
 }
 
 // Routes returns the live /v1 surface, sorted by path for stable output.

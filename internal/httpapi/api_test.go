@@ -15,13 +15,9 @@ func TestAPIVersionedRoutesAndAliases(t *testing.T) {
 	api.Handle("/v1/ping", func(w http.ResponseWriter, _ *http.Request) {
 		WriteJSON(w, http.StatusOK, map[string]string{"pong": "v1"})
 	})
-	api.Deprecated("/ping", "/v1/ping", func(w http.ResponseWriter, _ *http.Request) {
-		WriteJSON(w, http.StatusOK, map[string]string{"pong": "legacy"})
-	})
 	ts := httptest.NewServer(api.Handler())
 	defer ts.Close()
 
-	// Live v1 route: no deprecation headers.
 	resp, err := http.Get(ts.URL + "/v1/ping")
 	if err != nil {
 		t.Fatal(err)
@@ -30,24 +26,15 @@ func TestAPIVersionedRoutesAndAliases(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/ping = %d, want 200", resp.StatusCode)
 	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1/ping unexpectedly marked deprecated")
-	}
 
-	// Alias: still serves, but flagged with Deprecation + successor Link.
+	// The unversioned path is not an alias: it answers 404.
 	resp, err = http.Get(ts.URL + "/ping")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/ping = %d, want 200", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("alias missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/ping") || !strings.Contains(link, "successor-version") {
-		t.Errorf("alias Link header %q does not name the successor", link)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/ping = %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -6,10 +6,8 @@
 //     PredictResponse, SnapshotSummary, ModelInfo, the State envelope), each
 //     stamped with SchemaVersion, so operators scrape all daemons
 //     identically and a gateway can proxy a replica's response verbatim;
-//   - the /v1 route table: API registers handlers under /v1, keeps the
-//     pre-versioning routes alive as deprecated aliases (Deprecation +
-//     successor Link headers), and answers unknown paths with a 404 that
-//     lists the live /v1 surface;
+//   - the /v1 route table: API registers handlers under /v1 and answers
+//     unknown paths with a 404 that lists the live /v1 surface;
 //   - the metrics encoder: MetricsBuilder renders one metric set as both
 //     Prometheus text exposition and the JSON schema (?format=json).
 //

@@ -300,3 +300,36 @@ func (m *MLP) SetParams(p tensor.Vector) error {
 
 // Dims returns a copy of the layer widths.
 func (m *MLP) Dims() []int { return append([]int(nil), m.dims...) }
+
+// backpropInto propagates the output-layer delta (already stored in
+// deltas[len(deltas)-1]) through the network, accumulating layer gradients
+// into grads.
+// deltas[l] receives the delta at layer l's output.
+func (m *MLP) backpropInto(acts, deltas []tensor.Vector, grads []*Dense) error {
+	for l := len(m.layers) - 1; l >= 0; l-- {
+		delta := deltas[l]
+		in := acts[l]
+		if err := grads[l].W.AddOuter(1, delta, in); err != nil {
+			return err
+		}
+		if err := grads[l].B.Add(delta); err != nil {
+			return err
+		}
+		if l == 0 {
+			break
+		}
+		// Propagate: delta_prev = Wᵀ·delta ⊙ relu'(pre-act). acts[l] is the
+		// post-ReLU activation of layer l-1's output; ReLU' is 1 where the
+		// activation is positive.
+		prev := deltas[l-1]
+		if err := tensor.MatTVecInto(prev, m.layers[l].W, delta); err != nil {
+			return err
+		}
+		for i := range prev {
+			if acts[l][i] <= 0 {
+				prev[i] = 0
+			}
+		}
+	}
+	return nil
+}

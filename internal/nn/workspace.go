@@ -99,7 +99,7 @@ func (ws *Workspace) check(m *MLP) error {
 func (ws *Workspace) Grads() []*Dense { return ws.grads }
 
 // ZeroGrads resets every gradient accumulator to zero, the required state
-// before a fresh round of GradientsWS/SoftGradientWS accumulation.
+// before a fresh round of GradientsWS accumulation.
 func (ws *Workspace) ZeroGrads() {
 	for _, g := range ws.grads {
 		g.W.Zero()

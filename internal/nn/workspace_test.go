@@ -207,41 +207,6 @@ func TestTrainBatchWSReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-func TestSoftGradientWSMatchesSoftGradient(t *testing.T) {
-	m, xs, _ := testModelAndBatch(t)
-	target := tensor.Vector{0.1, 0.3, 0.2, 0.25, 0.15}
-	ws := NewWorkspace(m)
-	for _, x := range xs[:4] {
-		flat, lossA, err := SoftGradient(m, x, target, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws.ZeroGrads()
-		lossB, err := m.SoftGradientWS(ws, x, target, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lossA != lossB {
-			t.Fatalf("loss %g vs %g", lossB, lossA)
-		}
-		i := 0
-		for _, g := range ws.grads {
-			for _, v := range g.W.Data {
-				if v != flat[i] {
-					t.Fatalf("grad[%d]: %g vs %g", i, v, flat[i])
-				}
-				i++
-			}
-			for _, v := range g.B {
-				if v != flat[i] {
-					t.Fatalf("grad[%d]: %g vs %g", i, v, flat[i])
-				}
-				i++
-			}
-		}
-	}
-}
-
 func TestWorkspaceFits(t *testing.T) {
 	m, _, _ := testModelAndBatch(t)
 	ws := NewWorkspace(m)

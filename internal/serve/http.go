@@ -26,9 +26,8 @@ import (
 //	GET  /v1/debug/drift    drift monitor summary + recent evaluations (?n=, ?expert=)
 //	GET  /v1/debug/adapt    continual adaptation controller state (200 with enabled:false when detached)
 //
-// The pre-versioning routes (/predict /snapshot /healthz /metrics) stay
-// reachable as deprecated aliases carrying a Deprecation header; unknown
-// routes answer 404 with the live /v1 listing.
+// Unknown routes, the retired unversioned ones included, answer 404 with
+// the live /v1 listing.
 //
 // /v1/predict answers 503 with Retry-After when the pipeline is saturated
 // and 410 after shutdown has begun, so load balancers can react correctly.
@@ -45,10 +44,6 @@ func (s *Server) Handler() http.Handler {
 	api.Handle("/v1/debug/traces", telemetry.TracesHandler(s.cfg.Tracer).ServeHTTP)
 	api.Handle("/v1/debug/drift", monitor.Handler(s.cfg.Model, s.cfg.Monitor))
 	api.Handle("/v1/debug/adapt", s.handleDebugAdapt)
-	api.Deprecated("/predict", "/v1/predict", s.handlePredict)
-	api.Deprecated("/snapshot", "/v1/snapshot", s.handleSnapshot)
-	api.Deprecated("/healthz", "/v1/healthz", s.handleHealthz)
-	api.Deprecated("/metrics", "/v1/metrics", s.handleMetrics)
 	return api.Handler()
 }
 

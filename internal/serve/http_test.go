@@ -20,7 +20,7 @@ func TestHTTPPredictAndHealth(t *testing.T) {
 
 	x := tensor.NewRNG(21).NormVec(srv.Snapshot().InputDim(), 0, 1)
 	body, _ := json.Marshal(map[string]any{"x": x})
-	resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestHTTPPredictAndHealth(t *testing.T) {
 
 	// Wrong dimension → 400.
 	bad, _ := json.Marshal(map[string]any{"x": []float64{1}})
-	resp2, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(bad))
+	resp2, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,17 +47,17 @@ func TestHTTPPredictAndHealth(t *testing.T) {
 		t.Fatalf("bad input status %d, want 400", resp2.StatusCode)
 	}
 
-	// GET /predict → 405.
-	resp3, err := http.Get(ts.URL + "/predict")
+	// GET /v1/predict → 405.
+	resp3, err := http.Get(ts.URL + "/v1/predict")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /predict status %d, want 405", resp3.StatusCode)
+		t.Fatalf("GET /v1/predict status %d, want 405", resp3.StatusCode)
 	}
 
-	for _, path := range []string{"/healthz", "/snapshot"} {
+	for _, path := range []string{"/v1/healthz", "/v1/snapshot"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestHTTPPredictAndHealth(t *testing.T) {
 		}
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
+	mresp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestHTTPPredictAndHealth(t *testing.T) {
 		"shiftex_serve_batch_size_count 1",
 	} {
 		if !strings.Contains(text, want) {
-			t.Fatalf("/metrics missing %q in:\n%s", want, text)
+			t.Fatalf("/v1/metrics missing %q in:\n%s", want, text)
 		}
 	}
 }
@@ -101,7 +101,7 @@ func TestHTTPSnapshotSwap(t *testing.T) {
 	defer ts.Close()
 
 	body, _ := json.Marshal(map[string]string{"path": tinyCheckpoint})
-	resp, err := http.Post(ts.URL+"/snapshot", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/snapshot", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestHTTPSnapshotSwap(t *testing.T) {
 
 	// Bad path → 422, serving keeps the old snapshot.
 	bad, _ := json.Marshal(map[string]string{"path": "testdata/nope.json"})
-	resp2, err := http.Post(ts.URL+"/snapshot", "application/json", bytes.NewReader(bad))
+	resp2, err := http.Post(ts.URL+"/v1/snapshot", "application/json", bytes.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestHTTPSnapshotSwap(t *testing.T) {
 }
 
 // TestHTTPV1Surface pins the versioned API satellite: /v1 routes respond,
-// legacy aliases carry Deprecation headers, unknown routes list the live
+// the retired unversioned routes answer 404, unknown routes list the live
 // surface, model-addressed requests work on the hosting replica and 404
 // elsewhere, and the effective routing ε is visible in /metrics and the
 // snapshot summary.
@@ -156,9 +156,6 @@ func TestHTTPV1Surface(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || pr.Model != "fmow" {
 		t.Fatalf("/v1/predict = %d %+v", resp.StatusCode, pr)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1/predict must not be flagged deprecated")
 	}
 
 	// A model this replica does not host → 404 listing the hosted one.
@@ -200,18 +197,15 @@ func TestHTTPV1Surface(t *testing.T) {
 		t.Fatalf("/v1/models/other = %d, want 404", resp.StatusCode)
 	}
 
-	// Legacy alias still serves, flagged deprecated with successor Link.
+	// The retired unversioned route answers 404.
 	body, _ = json.Marshal(map[string]any{"x": x})
 	resp, err = http.Post(ts.URL+"/predict", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/predict alias = %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" || !strings.Contains(resp.Header.Get("Link"), "/v1/predict") {
-		t.Errorf("alias headers = Deprecation:%q Link:%q", resp.Header.Get("Deprecation"), resp.Header.Get("Link"))
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/predict = %d, want 404", resp.StatusCode)
 	}
 
 	// Unknown route → 404 with the live /v1 surface.

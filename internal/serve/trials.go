@@ -10,13 +10,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultTracingTrials is the number of interleaved baseline/traced
-// trial pairs RunTracingBench runs when the caller does not choose.
-const DefaultTracingTrials = 5
-
-// DefaultDriftTrials is the number of interleaved unmonitored/monitored
-// trial pairs RunDriftBench runs when the caller does not choose.
-const DefaultDriftTrials = 3
+// DefaultTrials is the number of interleaved baseline/treated trial pairs
+// RunTracingBench and RunDriftBench run when the caller does not choose.
+const DefaultTrials = 5
 
 // bestTrialPairs is the overhead benchmarks' protocol: one discarded
 // baseline warm-up (it absorbs scheduler and frequency ramp-up so the
@@ -70,7 +66,7 @@ func serveTrial(ctx context.Context, cp *service.Checkpoint, cfg LoadConfig, srv
 // bestTrialPairs protocol: an untraced baseline trial against a traced
 // trial where every request roots a span and the pipeline records route
 // and batch spans into a ring of ringSize. The returned artifact carries
-// both throughputs and the overhead percentage the -check gate enforces.
+// both throughputs and the overhead percentage its CheckOverhead gate enforces.
 func RunTracingBench(ctx context.Context, cp *service.Checkpoint, cfg LoadConfig, srvCfg Config, ringSize, trials int) (*experiments.TracingArtifact, error) {
 	cfg = cfg.WithDefaults()
 	cfg.SwapMidLoad = false
@@ -79,7 +75,7 @@ func RunTracingBench(ctx context.Context, cp *service.Checkpoint, cfg LoadConfig
 		ringSize = telemetry.DefaultRingSize
 	}
 	if trials <= 0 {
-		trials = DefaultTracingTrials
+		trials = DefaultTrials
 	}
 	base, traced, spans, err := bestTrialPairs("tracing bench", trials, func(treated bool) (*LoadResult, uint64, error) {
 		var tr *telemetry.Tracer
@@ -164,7 +160,7 @@ func RunDriftBench(ctx context.Context, cp *service.Checkpoint, cfg LoadConfig, 
 	srvCfg = srvCfg.withDefaults()
 	srvCfg.CacheSize = -1
 	if trials <= 0 {
-		trials = DefaultDriftTrials
+		trials = DefaultTrials
 	}
 	base, monitored, rec, err := bestTrialPairs("drift bench", trials, func(treated bool) (*LoadResult, monitorRecord, error) {
 		if !treated {

@@ -13,9 +13,8 @@ import (
 //	/v1/state    shared httpapi.State envelope with the aggregator section
 //	/v1/metrics  Prometheus text (or shared JSON schema with ?format=json)
 //
-// The pre-versioning paths (/healthz /state /metrics) stay reachable as
-// deprecated aliases carrying a Deprecation header; unknown routes answer
-// 404 with the live /v1 listing. Handlers read locked snapshots only, so
+// Unknown routes, the retired unversioned ones included, answer 404 with
+// the live /v1 listing. Handlers read locked snapshots only, so
 // they are safe to serve while a window is running.
 func (r *Runtime) Handler() http.Handler {
 	api := httpapi.NewAPI()
@@ -23,9 +22,6 @@ func (r *Runtime) Handler() http.Handler {
 	api.Handle("/v1/state", r.handleState)
 	api.Handle("/v1/metrics", r.handleMetrics)
 	api.Handle("/v1/debug/traces", telemetry.TracesHandler(r.opts.Tracer).ServeHTTP)
-	api.Deprecated("/healthz", "/v1/healthz", r.handleHealthz)
-	api.Deprecated("/state", "/v1/state", r.handleState)
-	api.Deprecated("/metrics", "/v1/metrics", r.handleMetrics)
 	return api.Handler()
 }
 

@@ -39,9 +39,9 @@ func TestObservabilityEndpoints(t *testing.T) {
 	}
 
 	// Before any window: healthy, bootstrapping.
-	code, body := get("/healthz")
+	code, body := get("/v1/healthz")
 	if code != http.StatusOK {
-		t.Fatalf("/healthz = %d, want 200", code)
+		t.Fatalf("/v1/healthz = %d, want 200", code)
 	}
 	var health map[string]any
 	if err := json.Unmarshal([]byte(body), &health); err != nil {
@@ -74,22 +74,12 @@ func TestObservabilityEndpoints(t *testing.T) {
 		t.Fatalf("epsilon not calibrated after bootstrap: %s", body)
 	}
 
-	// The pre-versioning alias answers the same payload, flagged deprecated.
-	resp, err := http.Get(srv.URL + "/state")
-	if err != nil {
-		t.Fatal(err)
-	}
-	aliasBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("/state alias missing Deprecation header")
-	}
-	var aliasState httpapi.State
-	if err := json.Unmarshal(aliasBody, &aliasState); err != nil || aliasState.Daemon != "aggregator" {
-		t.Fatalf("/state alias payload diverged: %v\n%s", err, aliasBody)
+	// The retired unversioned route answers 404.
+	if code, _ := get("/state"); code != http.StatusNotFound {
+		t.Fatalf("/state = %d, want 404", code)
 	}
 
-	code, body = get("/metrics")
+	code, body = get("/v1/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d, want 200", code)
 	}

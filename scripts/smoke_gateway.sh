@@ -3,11 +3,12 @@
 # tiny checkpoint and a shiftex-gateway in front of them with a
 # config-selected middleware chain (logging, auth, ratelimit, admission)
 # on the predict route. Assert the chain is live (tokenless predict is
-# 401, bearer-token predict is 200 end-to-end), the deprecated unversioned
-# alias still answers with a Deprecation header, and a misspelled
-# middleware name fails startup listing the available set. Then SIGKILL
-# one replica mid-loadgen and gate the BENCH_gateway.json artifact on
-# zero dropped requests and >=90% consistent-hash affinity retention.
+# 401, bearer-token predict is 200 end-to-end), the retired unversioned
+# /predict route answers 404, and a misspelled middleware name fails
+# startup listing the available set. Then SIGKILL one replica mid-load
+# (shiftex-bench load -url) and gate the BENCH_gateway.json artifact
+# (shiftex-bench check) on zero dropped requests and >=90% consistent-hash
+# affinity retention.
 # Finally assert distributed tracing end to end: a request carrying a
 # known traceparent must surface spans under that trace ID on BOTH tiers
 # (/v1/debug/traces on the gateway and the surviving replica), and the
@@ -27,7 +28,7 @@ REP2_ADDR="127.0.0.1:18652"
 GW_DEBUG_ADDR="127.0.0.1:18654"
 CKPT=internal/serve/testdata/checkpoint_tiny.json
 # The committed checkpoint was trained with -samples 40 -test 20 (see
-# EXPERIMENTS.md "Serving benchmark"); the loadgen must regenerate the
+# EXPERIMENTS.md "Serving benchmark"); the load run must regenerate the
 # same scenario shape.
 SAMPLES=40
 TEST=20
@@ -49,8 +50,8 @@ fail() {
     exit 1
 }
 
-echo "== building shiftex-serve and shiftex-gateway"
-go build -o "$BIN" ./cmd/shiftex-serve ./cmd/shiftex-gateway
+echo "== building shiftex-serve, shiftex-gateway and shiftex-bench"
+go build -o "$BIN" ./cmd/shiftex-serve ./cmd/shiftex-gateway ./cmd/shiftex-bench
 
 echo "== starting two serve replicas from $CKPT"
 "$BIN/shiftex-serve" -checkpoint "$CKPT" -http "$REP1_ADDR" >"$LOG/replica1.log" 2>&1 &
@@ -109,12 +110,11 @@ code=$(curl -s -o "$WORKDIR/predict.json" -w '%{http_code}' \
 grep -q '"class"' "$WORKDIR/predict.json" || fail "/v1/predict body unexpected: $(cat "$WORKDIR/predict.json")"
 grep -q '"replica"' "$WORKDIR/predict.json" || fail "/v1/predict did not report the serving replica"
 
-echo "== deprecated unversioned alias answers and is flagged"
-curl -s -D "$WORKDIR/alias.hdr" -o "$WORKDIR/alias.json" \
+echo "== retired unversioned /predict answers 404"
+code=$(curl -s -o "$WORKDIR/old.json" -w '%{http_code}' \
     -H "Authorization: Bearer $TOKEN" \
-    -X POST -d "{\"x\":[$X]}" "http://$GW_ADDR/predict"
-grep -qi '^Deprecation: true' "$WORKDIR/alias.hdr" || fail "/predict alias missing Deprecation header"
-grep -q '"class"' "$WORKDIR/alias.json" || fail "/predict alias body unexpected: $(cat "$WORKDIR/alias.json")"
+    -X POST -d "{\"x\":[$X]}" "http://$GW_ADDR/predict")
+[ "$code" = 404 ] || fail "/predict returned $code, want 404: $(cat "$WORKDIR/old.json")"
 
 echo "== misspelled middleware fails startup, naming the available set"
 cat >"$WORKDIR/bad.json" <<EOF
@@ -131,15 +131,15 @@ grep -q 'unknown middleware "authz"' "$WORKDIR/bad.out" || fail "startup error d
 grep -q 'available:' "$WORKDIR/bad.out" || fail "startup error does not list the available middlewares: $(cat "$WORKDIR/bad.out")"
 
 echo "== load generation with a mid-load replica SIGKILL"
-"$BIN/shiftex-gateway" -loadgen -checkpoint "$CKPT" -url "http://$GW_ADDR" \
+"$BIN/shiftex-bench" load -checkpoint "$CKPT" -url "http://$GW_ADDR" \
     -samples "$SAMPLES" -test "$TEST" -repeat 40 -concurrency 8 \
-    -token "$TOKEN" -kill-pid "$REP2_PID" -kill-at 0.5 \
+    -token "$TOKEN" -kill-pid "$REP2_PID" \
     -json "$WORKDIR" >"$LOG/loadgen.log" 2>&1 \
     || fail "load generation failed"
 cat "$LOG/loadgen.log"
 
 echo "== artifact gate (zero dropped requests, affinity >= 0.9)"
-"$BIN/shiftex-gateway" -check "$WORKDIR/BENCH_gateway.json" -min-affinity 0.9 \
+"$BIN/shiftex-bench" check -min-affinity 0.9 "$WORKDIR/BENCH_gateway.json" \
     || fail "gateway artifact did not validate"
 
 echo "== distributed trace crosses both tiers"

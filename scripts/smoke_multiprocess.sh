@@ -63,18 +63,18 @@ echo "== starting aggregator"
 AGG_PID=$!
 PIDS+=("$AGG_PID")
 
-echo "== waiting for /healthz"
+echo "== waiting for /v1/healthz"
 healthy=""
 for _ in $(seq 1 50); do
-    if curl -fsS "http://$HTTP_ADDR/healthz" >"$WORKDIR/healthz.json" 2>/dev/null; then
+    if curl -fsS "http://$HTTP_ADDR/v1/healthz" >"$WORKDIR/healthz.json" 2>/dev/null; then
         healthy=yes
         break
     fi
-    kill -0 "$AGG_PID" 2>/dev/null || fail "aggregator exited before serving /healthz"
+    kill -0 "$AGG_PID" 2>/dev/null || fail "aggregator exited before serving /v1/healthz"
     sleep 0.2
 done
-[ -n "$healthy" ] || fail "/healthz never returned 200"
-grep -q '"status": "ok"' "$WORKDIR/healthz.json" || fail "/healthz payload unexpected: $(cat "$WORKDIR/healthz.json")"
+[ -n "$healthy" ] || fail "/v1/healthz never returned 200"
+grep -q '"status": "ok"' "$WORKDIR/healthz.json" || fail "/v1/healthz payload unexpected: $(cat "$WORKDIR/healthz.json")"
 echo "   healthz OK: $(tr -d '\n ' <"$WORKDIR/healthz.json")"
 
 echo "== waiting for window 1 to complete"
@@ -87,11 +87,11 @@ grep -q "window 1 done" "$LOG/agg.log" || fail "window 1 never completed"
 
 # The -policy flag must have reached the aggregator's policy registry.
 grep -q "adaptation policy: $POLICY" "$LOG/agg.log" || fail "aggregator did not report policy $POLICY"
-grep -q "\"policy\": \"$POLICY\"" <(curl -fsS "http://$HTTP_ADDR/state") || fail "/state does not report policy $POLICY"
+grep -q "\"policy\": \"$POLICY\"" <(curl -fsS "http://$HTTP_ADDR/v1/state") || fail "/v1/state does not report policy $POLICY"
 
 # Rounds are observable over HTTP while the run is live.
-curl -fsS "http://$HTTP_ADDR/metrics" >"$WORKDIR/metrics.txt" || fail "/metrics unreachable mid-run"
-grep -Eq "shiftex_rounds_total [1-9]" "$WORKDIR/metrics.txt" || fail "no rounds counted in /metrics"
+curl -fsS "http://$HTTP_ADDR/v1/metrics" >"$WORKDIR/metrics.txt" || fail "/v1/metrics unreachable mid-run"
+grep -Eq "shiftex_rounds_total [1-9]" "$WORKDIR/metrics.txt" || fail "no rounds counted in /v1/metrics"
 
 echo "== killing party 1 mid-stream"
 kill -9 "${PIDS[1]}"
