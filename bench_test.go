@@ -12,8 +12,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/detect"
-	"repro/internal/enclave"
 	"repro/internal/experiments"
 	"repro/internal/facility"
 	"repro/internal/federation"
@@ -216,41 +214,6 @@ func BenchmarkOverheadAssignment(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := facility.SolveGreedy(inst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// §5.3: TEE sealing overhead — seal+open of one statistics bundle through
-// the simulated enclave vs the size of the plaintext path.
-func BenchmarkEnclaveOverhead(b *testing.B) {
-	e, err := enclave.New(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess, err := enclave.NewSession(e.Attest(), e.Key())
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := tensor.NewRNG(4)
-	sample := make([]tensor.Vector, 64)
-	for i := range sample {
-		sample[i] = rng.NormVec(64, 0, 1)
-	}
-	st := detect.PartyStats{
-		PartyID:         1,
-		MeanEmbedding:   rng.NormVec(64, 0, 1),
-		EmbeddingSample: sample,
-		LabelHist:       stats.Uniform(10),
-		NumSamples:      64,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sealed, err := sess.SealStats(st)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.OpenStats(sealed); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // stubAdaptReporter stands in for the continual controller behind a
-// replica's /v1/debug/adapt endpoint.
+// replica's /v1/state continual section.
 type stubAdaptReporter struct {
 	mu sync.Mutex
 	st httpapi.ContinualState
@@ -28,9 +28,10 @@ func (s *stubAdaptReporter) set(st httpapi.ContinualState) {
 }
 
 // TestGatewayFleetAdaptAggregation pins the fleet adaptation view: the probe
-// loop scrapes each replica's /v1/debug/adapt state, and /v1/state reports
-// per-replica phase plus fleet mid-window and completed-window aggregates. A
-// replica without a controller contributes nothing.
+// loop reads each replica's controller state from its /v1/state, and the
+// gateway's /v1/state reports per-replica phase plus fleet mid-window and
+// completed-window aggregates. A replica without a controller contributes
+// nothing.
 func TestGatewayFleetAdaptAggregation(t *testing.T) {
 	aCtl, srv := startReplica(t, "default")
 	aBare, _ := startReplica(t, "default")

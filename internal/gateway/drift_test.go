@@ -53,22 +53,28 @@ func startMonitoredReplica(t *testing.T, model string) (string, *serve.Server, *
 }
 
 // TestGatewayFleetDriftAggregation pins the fleet view: the probe loop
-// scrapes each replica's /v1/debug/drift summary, and /v1/state reports
-// per-replica scores plus the fleet max/mean. A replica without a monitor
-// contributes nothing (and does not zero the aggregates).
+// reads each replica's drift standing from its /v1/state, and the
+// gateway's /v1/state reports per-replica scores plus the fleet max/mean.
+// A replica without a monitor contributes nothing (and does not zero the
+// aggregates).
 func TestGatewayFleetDriftAggregation(t *testing.T) {
 	aMon, srv, mon := startMonitoredReplica(t, "default")
 	aBare, _ := startReplica(t, "default")
 	g := newTestGateway(t, Config{Models: map[string][]string{"default": {aMon, aBare}}})
 
 	// Drive enough in-process traffic through the monitored replica to
-	// fill its baseline and calibrate, then force an evaluation.
+	// fill its baseline and calibrate, then force an evaluation. The tee
+	// drops blocks once the monitor's 16-block queue is full, so the drive
+	// waits for the monitor every 8 requests.
 	dim := inputDim(t)
 	rng := tensor.NewRNG(9)
 	ctx := context.Background()
 	for i := 0; i < 200; i++ {
 		if _, err := srv.Predict(ctx, rng.NormVec(dim, 0, 1)); err != nil {
 			t.Fatalf("predict %d: %v", i, err)
+		}
+		if i%8 == 7 {
+			mon.Flush()
 		}
 	}
 	mon.Flush()

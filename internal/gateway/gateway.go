@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"repro/internal/httpapi"
-	"repro/internal/monitor"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -48,7 +47,7 @@ type Gateway struct {
 	cfg     Config
 	fan     service.FanoutConfig
 	reg     *registry
-	session *sessionCache
+	session sessionCache
 	client  *http.Client
 	logger  *slog.Logger
 	tracer  *telemetry.Tracer
@@ -160,46 +159,57 @@ func (g *Gateway) Close() {
 }
 
 // ProbeAll health-checks every registered replica of every model once,
-// concurrently per model fleet on the shared fan-out machinery. Exported
-// so tests and the registration path can force a probe cycle.
+// concurrently per model fleet on the shared fan-out machinery: one GET
+// /v1/state per replica. Exported so tests and the registration path can
+// force a probe cycle.
 func (g *Gateway) ProbeAll() {
+	noRetry := g.fan
+	noRetry.Retries = 0
 	for _, m := range g.reg.all() {
-		addrs := m.replicaAddrs()
-		noRetry := g.fan
-		noRetry.Retries = 0
-		_, _ = service.FanOut(noRetry, addrs, "probe",
+		_, _ = service.FanOut(noRetry, m.replicaAddrs(), "probe",
 			func(a string) string { return fmt.Sprintf("replica %s", a) }, nil,
 			func(addr string) (struct{}, error) {
-				sum, err := g.fetchSnapshot(context.Background(), addr, m.name)
-				if err != nil {
-					if m.noteFailure(addr, g.cfg.EvictAfter) {
-						g.metrics.evictions.Add(1)
-						g.logWarn(context.Background(), "replica evicted",
-							"replica", addr, "model", m.name, "error", err.Error())
-					}
-					return struct{}{}, err
-				}
-				if m.noteSuccess(addr, sum.Version) {
-					g.metrics.readmissions.Add(1)
-					g.logInfo(context.Background(), "replica re-admitted",
-						"replica", addr, "model", m.name, "snapshot", sum.Version)
-				}
-				// Best-effort drift scrape: fleet aggregation rides the
-				// probe cycle, and a replica without a monitor (or one
-				// still calibrating) simply contributes nothing.
-				if ds, err := g.fetchDrift(context.Background(), addr); err == nil &&
-					ds.Enabled && ds.Summary != nil && ds.Summary.Calibrated {
-					m.noteDrift(addr, ds.Summary.Score)
-				}
-				// Same contract for the continual-adaptation plane: a
-				// replica without a controller contributes nothing.
-				if as, err := g.fetchAdapt(context.Background(), addr); err == nil &&
-					as.Enabled && as.State != nil {
-					m.noteAdapt(addr, as.State.Phase, as.State.WindowsCompleted)
-				}
-				return struct{}{}, nil
+				return struct{}{}, g.probe(context.Background(), m, addr, g.cfg.EvictAfter)
 			})
 	}
+}
+
+// probe reads one replica's /v1/state: a replica that reports the model it
+// is registered under can serve. The same read carries the snapshot version
+// (ring-wide version discovery), the drift monitor's calibrated score and
+// the continual controller's phase, which fleet aggregation records; a
+// replica without a calibrated monitor or a controller contributes
+// nothing to either. evictAfter is the consecutive-failure count that
+// evicts the replica.
+func (g *Gateway) probe(ctx context.Context, m *model, addr string, evictAfter int) error {
+	st, err := fetchJSON[httpapi.State](ctx, g.client, addr, "/v1/state")
+	if err == nil {
+		switch {
+		case st.Serve == nil:
+			err = fmt.Errorf("replica answered a %q state, want serve", st.Daemon)
+		case st.Serve.Model != m.name:
+			err = fmt.Errorf("replica serves model %q, registered under %q", st.Serve.Model, m.name)
+		}
+	}
+	if err != nil {
+		if m.noteFailure(addr, evictAfter) {
+			g.metrics.evictions.Add(1)
+			g.logWarn(ctx, "replica evicted", "replica", addr, "model", m.name, "error", err.Error())
+		}
+		return err
+	}
+	ss := st.Serve
+	if m.noteSuccess(addr, ss.Snapshot) {
+		g.metrics.readmissions.Add(1)
+		g.logInfo(ctx, "replica re-admitted", "replica", addr, "model", m.name, "snapshot", ss.Snapshot)
+	}
+	if ss.DriftCalibrated {
+		m.noteDrift(addr, ss.DriftScore)
+	}
+	if ss.Continual != nil {
+		m.noteAdapt(addr, ss.Continual.Phase, ss.Continual.WindowsCompleted)
+	}
+	return nil
 }
 
 // clientError is a replica answer that must reach the client as-is (4xx:
@@ -299,114 +309,65 @@ func (g *Gateway) Predict(ctx context.Context, modelName string, x tensor.Vector
 	return httpapi.PredictResponse{}, http.StatusBadGateway, err
 }
 
-// callPredict proxies one predict to one replica under the per-call
-// timeout. A 4xx replica answer comes back as *clientError (terminal);
-// everything else is a replica failure eligible for failover.
+// callPredict proxies one predict to one replica; g.client's timeout is
+// the per-call timeout. A 4xx replica answer comes back as *clientError
+// (terminal); everything else is a replica failure eligible for failover.
 func (g *Gateway) callPredict(ctx context.Context, addr, modelName string, x tensor.Vector) (httpapi.PredictResponse, error) {
-	return service.CallTimeout(g.fan.Timeout, func() (httpapi.PredictResponse, error) {
-		body, err := json.Marshal(httpapi.PredictRequest{X: x, Model: modelName})
-		if err != nil {
-			return httpapi.PredictResponse{}, err
-		}
-		var resp httpapi.PredictResponse
-		status, raw, err := g.post(ctx, addr, "/v1/predict", body)
-		if err != nil {
-			return resp, err
-		}
-		if status >= 400 && status < 500 {
-			var eb httpapi.ErrorBody
-			_ = json.Unmarshal(raw, &eb)
-			return resp, &clientError{status: status, body: eb}
-		}
-		if status != http.StatusOK {
-			return resp, fmt.Errorf("replica status %d: %s", status, bytes.TrimSpace(raw))
-		}
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			return resp, fmt.Errorf("bad replica response: %w", err)
-		}
-		return resp, nil
-	})
+	var resp httpapi.PredictResponse
+	body, err := json.Marshal(httpapi.PredictRequest{X: x, Model: modelName})
+	if err != nil {
+		return resp, err
+	}
+	status, raw, err := g.post(ctx, addr, "/v1/predict", body)
+	if err != nil {
+		return resp, err
+	}
+	if status >= 400 && status < 500 {
+		var eb httpapi.ErrorBody
+		_ = json.Unmarshal(raw, &eb)
+		return resp, &clientError{status: status, body: eb}
+	}
+	if status != http.StatusOK {
+		return resp, fmt.Errorf("replica status %d: %s", status, bytes.TrimSpace(raw))
+	}
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		return resp, fmt.Errorf("bad replica response: %w", err)
+	}
+	return resp, nil
 }
 
-// fetchSnapshot reads a replica's snapshot summary (also the health
-// probe: a replica that can summarize its snapshot can serve).
+// fetchSnapshot reads a replica's snapshot summary for the model card.
 func (g *Gateway) fetchSnapshot(ctx context.Context, addr, modelName string) (httpapi.SnapshotSummary, error) {
-	var sum httpapi.SnapshotSummary
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/v1/snapshot", nil)
-	if err != nil {
-		return sum, err
+	sum, err := fetchJSON[httpapi.SnapshotSummary](ctx, g.client, addr, "/v1/snapshot")
+	if err == nil && sum.Model != modelName {
+		err = fmt.Errorf("replica serves model %q, registered under %q", sum.Model, modelName)
 	}
-	res, err := g.client.Do(req)
-	if err != nil {
-		return sum, err
-	}
-	defer res.Body.Close()
-	raw, err := io.ReadAll(res.Body)
-	if err != nil {
-		return sum, err
-	}
-	if res.StatusCode != http.StatusOK {
-		return sum, fmt.Errorf("replica status %d: %s", res.StatusCode, bytes.TrimSpace(raw))
-	}
-	if err := json.Unmarshal(raw, &sum); err != nil {
-		return sum, fmt.Errorf("bad snapshot summary: %w", err)
-	}
-	if sum.Model != modelName {
-		return sum, fmt.Errorf("replica serves model %q, registered under %q", sum.Model, modelName)
-	}
-	return sum, nil
+	return sum, err
 }
 
-// fetchDrift scrapes a replica's drift-plane summary (?n=0: no eval ring,
-// just the aggregate) for fleet aggregation.
-func (g *Gateway) fetchDrift(ctx context.Context, addr string) (monitor.DriftState, error) {
-	var ds monitor.DriftState
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/v1/debug/drift?n=0", nil)
+// fetchJSON issues one GET to a replica path and decodes its 200 answer.
+func fetchJSON[T any](ctx context.Context, client *http.Client, addr, path string) (T, error) {
+	var v T
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+path, nil)
 	if err != nil {
-		return ds, err
+		return v, err
 	}
-	res, err := g.client.Do(req)
+	res, err := client.Do(req)
 	if err != nil {
-		return ds, err
+		return v, err
 	}
 	defer res.Body.Close()
 	raw, err := io.ReadAll(res.Body)
 	if err != nil {
-		return ds, err
+		return v, err
 	}
 	if res.StatusCode != http.StatusOK {
-		return ds, fmt.Errorf("replica status %d: %s", res.StatusCode, bytes.TrimSpace(raw))
+		return v, fmt.Errorf("replica status %d: %s", res.StatusCode, bytes.TrimSpace(raw))
 	}
-	if err := json.Unmarshal(raw, &ds); err != nil {
-		return ds, fmt.Errorf("bad drift state: %w", err)
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return v, fmt.Errorf("bad %s answer: %w", path, err)
 	}
-	return ds, nil
-}
-
-// fetchAdapt scrapes a replica's continual-adaptation controller state for
-// fleet aggregation.
-func (g *Gateway) fetchAdapt(ctx context.Context, addr string) (httpapi.ContinualDebugState, error) {
-	var as httpapi.ContinualDebugState
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/v1/debug/adapt", nil)
-	if err != nil {
-		return as, err
-	}
-	res, err := g.client.Do(req)
-	if err != nil {
-		return as, err
-	}
-	defer res.Body.Close()
-	raw, err := io.ReadAll(res.Body)
-	if err != nil {
-		return as, err
-	}
-	if res.StatusCode != http.StatusOK {
-		return as, fmt.Errorf("replica status %d: %s", res.StatusCode, bytes.TrimSpace(raw))
-	}
-	if err := json.Unmarshal(raw, &as); err != nil {
-		return as, fmt.Errorf("bad adapt state: %w", err)
-	}
-	return as, nil
+	return v, nil
 }
 
 // post issues one JSON POST to a replica path and returns status + body.
@@ -546,14 +507,10 @@ func (g *Gateway) Register(ctx context.Context, modelName, addr string) (httpapi
 		modelName = httpapi.DefaultModel
 	}
 	m := g.reg.addReplica(modelName, addr)
-	sum, err := g.fetchSnapshot(ctx, addr, m.name)
-	if err != nil {
-		if m.noteFailure(addr, 1) { // immediate eviction: it never answered
-			g.metrics.evictions.Add(1)
-		}
+	// evictAfter 1: a replica that never answered leaves the ring at once.
+	if err := g.probe(ctx, m, addr, 1); err != nil {
 		return m.state(), fmt.Errorf("gateway: registered %s but probe failed: %w", addr, err)
 	}
-	m.noteSuccess(addr, sum.Version)
 	return m.state(), nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/httpapi"
@@ -364,9 +365,18 @@ func TestServeGatewayV1Parity(t *testing.T) {
 }
 
 // TestGatewayRegistrationAndProbe pins runtime replica registration and
-// the probe-driven health lifecycle at the registry level.
+// the probe-driven health lifecycle at the registry level, and that a probe
+// costs each replica exactly one request.
 func TestGatewayRegistrationAndProbe(t *testing.T) {
-	addr, _ := startReplica(t, "default")
+	_, srv := startReplica(t, "default")
+	var served atomic.Int64 // requests the live replica received
+	h := srv.Handler()
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		served.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	defer live.Close()
+	addr := strings.TrimPrefix(live.URL, "http://")
 	g := newTestGateway(t, Config{
 		Models:      map[string][]string{"default": {}},
 		Middlewares: map[string][]string{RoutePredict: {}, RouteAdmin: {}},
@@ -391,6 +401,9 @@ func TestGatewayRegistrationAndProbe(t *testing.T) {
 	if mst.Replicas[0].Snapshot == 0 {
 		t.Error("registration probe did not record the snapshot version")
 	}
+	if n := served.Load(); n != 1 {
+		t.Errorf("registration probe made %d requests, want 1", n)
+	}
 
 	// Register a dead address: 202, kept for the prober to retry.
 	body, _ = json.Marshal(map[string]string{"model": "default", "addr": "127.0.0.1:1"})
@@ -410,8 +423,14 @@ func TestGatewayRegistrationAndProbe(t *testing.T) {
 	}
 
 	// A probe pass keeps the live one healthy and does not resurrect the
-	// dead one.
-	g.ProbeAll()
+	// dead one; each pass reads the live replica exactly once.
+	for i := 0; i < 3; i++ {
+		before := served.Load()
+		g.ProbeAll()
+		if n := served.Load() - before; n != 1 {
+			t.Fatalf("probe pass %d made %d requests to the replica, want 1", i, n)
+		}
+	}
 	st := g.State()
 	if st.Models[0].HealthyReplicas != 1 {
 		t.Fatalf("after probe: %+v", st.Models[0])

@@ -272,7 +272,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Counter("shiftex_gateway_evictions_total", "Replicas evicted from a ring after consecutive failures.", float64(st.Evictions)).
 		Counter("shiftex_gateway_readmissions_total", "Evicted replicas re-admitted after answering again.", float64(st.Readmissions)).
 		Gauge("shiftex_gateway_models", "Registered models.", float64(len(st.Models))).
-		Gauge("shiftex_gateway_session_cache_entries", "Answers in the session cache.", float64(g.session.len()))
+		Gauge("shiftex_gateway_session_cache_entries", "Answers in the session cache.", float64(g.session.lru.Len()))
 	if len(perModel) > 0 {
 		b.GaugeVec("shiftex_gateway_healthy_replicas", "Healthy replicas per model.", perModel...)
 	}

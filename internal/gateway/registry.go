@@ -38,14 +38,14 @@ type replica struct {
 	healthy  bool
 	failures int
 	snapshot int
-	// driftScore is the replica's latest calibrated drift score, scraped
-	// best-effort from /v1/debug/drift by the probe loop; driftSeen marks
-	// that at least one scrape found a live, calibrated monitor.
+	// driftScore is the replica's latest calibrated drift score, read from
+	// its /v1/state by the probe loop; driftSeen marks that at least one
+	// probe found a live, calibrated monitor.
 	driftScore float64
 	driftSeen  bool
 	// adaptPhase / adaptWindows mirror the replica's continual-adaptation
-	// controller, scraped best-effort from /v1/debug/adapt; adaptSeen marks
-	// that at least one scrape found a controller attached.
+	// controller, read from the same /v1/state; adaptSeen marks that at
+	// least one probe found a controller attached.
 	adaptPhase   string
 	adaptWindows uint64
 	adaptSeen    bool
@@ -148,7 +148,7 @@ func (m *model) noteSuccess(addr string, snapshot int) (readmitted bool) {
 	return false
 }
 
-// noteDrift records a drift-score scrape against addr. The probe loop
+// noteDrift records a probed drift score against addr. The probe loop
 // calls it only when the replica's monitor is enabled and calibrated, so
 // a recorded 0 is a genuine "no drift" reading.
 func (m *model) noteDrift(addr string, score float64) {
@@ -160,7 +160,7 @@ func (m *model) noteDrift(addr string, score float64) {
 	}
 }
 
-// noteAdapt records a continual-adaptation scrape against addr. The probe
+// noteAdapt records a probed continual-adaptation state against addr. The probe
 // loop calls it only when the replica reports a controller attached.
 func (m *model) noteAdapt(addr, phase string, windows uint64) {
 	m.mu.Lock()

@@ -3,11 +3,11 @@ package gateway
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"sort"
 	"sync"
 
 	"repro/internal/httpapi"
+	"repro/internal/serve"
 	"repro/internal/tensor"
 )
 
@@ -65,21 +65,10 @@ func vnodeHash(member string, i int) uint64 {
 	return h.Sum64()
 }
 
-// KeyHash hashes a request vector to its ring key: the FNV-1a digest of the
-// raw float bits, so the same input always lands on the same replica (which
-// is what makes the replica-local route cache effective).
-func KeyHash(x tensor.Vector) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range x {
-		bits := math.Float64bits(v)
-		for i := range buf {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
-	}
-	return h.Sum64()
-}
+// KeyHash hashes a request vector to its ring key: serve.HashInput, the
+// digest the replica's route cache is keyed by, so the same input always
+// lands on the same replica (which is what makes that cache effective).
+func KeyHash(x tensor.Vector) uint64 { return serve.HashInput(x) }
 
 // Add inserts a member (idempotent).
 func (r *Ring) Add(member string) {

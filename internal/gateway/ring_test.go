@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/tensor"
@@ -107,5 +108,23 @@ func TestRingEmptyAndUnknown(t *testing.T) {
 	st := r.Remove("ghost:1")
 	if st.KeysTracked != 0 || st.MovedFraction != 0 {
 		t.Errorf("removing unknown member produced stats: %+v", st)
+	}
+}
+
+// TestKeyHashPinned pins ring keys to FNV-1a 64 over little-endian float64
+// bits (the values hash/fnv gives), so replica placement cannot drift.
+func TestKeyHashPinned(t *testing.T) {
+	for _, tc := range []struct {
+		x    tensor.Vector
+		want uint64
+	}{
+		{nil, 0xcbf29ce484222325}, // the FNV-1a offset basis
+		{tensor.Vector{0}, 0xa8c7f832281a39c5},
+		{tensor.Vector{1, 2, 3}, 0xe2d5ae79fc4e9a70},
+		{tensor.Vector{-0.5, math.Inf(1), 1e-300}, 0xaf6868abf7907ea4},
+	} {
+		if got := KeyHash(tc.x); got != tc.want {
+			t.Errorf("KeyHash(%v) = %#x, want %#x", tc.x, got, tc.want)
+		}
 	}
 }

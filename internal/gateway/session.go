@@ -1,16 +1,15 @@
 package gateway
 
 import (
-	"container/list"
-	"sync"
-
 	"repro/internal/httpapi"
+	"repro/internal/serve"
 )
 
 // sessionCache is the gateway-level answer cache: (model, input-hash) →
-// the full PredictResponse a replica produced. It sits in front of the
-// whole replica fleet, so a repeated input costs zero network hops — the
-// fleet-wide analogue of the replica-local route cache.
+// the full PredictResponse a replica produced, on the same serve.LRU as
+// the replica's route cache. It sits in front of the whole replica fleet,
+// so a repeated input costs zero network hops — the fleet-wide analogue of
+// the replica-local route cache.
 //
 // Entries carry the snapshot version they were answered under and are
 // rejected once the model's fleet is known to serve a NEWER snapshot
@@ -25,10 +24,7 @@ import (
 // 64-bit FNV over float bits, where accidental collisions are ~2^-32 even
 // at million-entry scale, and the same tradeoff a CDN makes.
 type sessionCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[sessionKey]*list.Element
-	l   *list.List // front = most recently used
+	lru *serve.LRU[sessionKey, sessionEntry]
 }
 
 type sessionKey struct {
@@ -37,66 +33,34 @@ type sessionKey struct {
 }
 
 type sessionEntry struct {
-	k       sessionKey
 	resp    httpapi.PredictResponse
 	version int
 }
 
 // newSessionCache builds a cache holding up to capacity answers;
 // capacity <= 0 disables caching.
-func newSessionCache(capacity int) *sessionCache {
-	return &sessionCache{cap: capacity, m: make(map[sessionKey]*list.Element), l: list.New()}
+func newSessionCache(capacity int) sessionCache {
+	return sessionCache{serve.NewLRU[sessionKey, sessionEntry](capacity)}
 }
 
 // get returns the cached answer for (model, key) if it was produced under
 // the model's current snapshot version. Stale entries are evicted on
-// sight.
-func (c *sessionCache) get(model string, key uint64, currentVersion int) (httpapi.PredictResponse, bool) {
-	if c.cap <= 0 {
-		return httpapi.PredictResponse{}, false
-	}
+// sight (a fresh answer put between the read and the eviction is dropped
+// with it, which costs one extra miss).
+func (c sessionCache) get(model string, key uint64, currentVersion int) (httpapi.PredictResponse, bool) {
 	sk := sessionKey{model, key}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[sk]
+	e, ok := c.lru.Get(sk)
 	if !ok {
 		return httpapi.PredictResponse{}, false
 	}
-	e := el.Value.(*sessionEntry)
 	if e.version < currentVersion {
-		c.l.Remove(el)
-		delete(c.m, sk)
+		c.lru.Remove(sk)
 		return httpapi.PredictResponse{}, false
 	}
-	c.l.MoveToFront(el)
 	return e.resp, true
 }
 
 // put records a replica answer under the snapshot version it reported.
-func (c *sessionCache) put(model string, key uint64, version int, resp httpapi.PredictResponse) {
-	if c.cap <= 0 {
-		return
-	}
-	sk := sessionKey{model, key}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[sk]; ok {
-		e := el.Value.(*sessionEntry)
-		e.resp, e.version = resp, version
-		c.l.MoveToFront(el)
-		return
-	}
-	for c.l.Len() >= c.cap {
-		oldest := c.l.Back()
-		c.l.Remove(oldest)
-		delete(c.m, oldest.Value.(*sessionEntry).k)
-	}
-	c.m[sk] = c.l.PushFront(&sessionEntry{k: sk, resp: resp, version: version})
-}
-
-// len returns the number of cached answers.
-func (c *sessionCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.l.Len()
+func (c sessionCache) put(model string, key uint64, version int, resp httpapi.PredictResponse) {
+	c.lru.Put(sessionKey{model, key}, sessionEntry{resp: resp, version: version})
 }

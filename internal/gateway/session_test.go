@@ -24,8 +24,8 @@ func TestSessionCacheHitAndVersionInvalidation(t *testing.T) {
 	if _, ok := c.get("m", 42, 2); ok {
 		t.Fatal("stale snapshot entry served after version advance")
 	}
-	if c.len() != 0 {
-		t.Fatalf("stale entry not evicted on sight: len=%d", c.len())
+	if c.lru.Len() != 0 {
+		t.Fatalf("stale entry not evicted on sight: len=%d", c.lru.Len())
 	}
 	// Re-cached under the new version, it serves again.
 	c.put("m", 42, 2, resp)
@@ -50,8 +50,8 @@ func TestSessionCacheLRUEviction(t *testing.T) {
 	if _, ok := c.get("m", 1, 1); ok {
 		t.Error("least-recently-used entry survived overflow")
 	}
-	if c.len() != 4 {
-		t.Errorf("len=%d, want 4", c.len())
+	if c.lru.Len() != 4 {
+		t.Errorf("len=%d, want 4", c.lru.Len())
 	}
 }
 

@@ -118,16 +118,17 @@ type ReplicaInfo struct {
 	Healthy  bool   `json:"healthy"`
 	Snapshot int    `json:"snapshot"` // last snapshot version observed by probing
 	Failures int    `json:"failures"` // consecutive call/probe failures
-	// DriftScore is the replica's latest calibrated drift score scraped
-	// from /v1/debug/drift (score ≥ threshold means the replica's live
-	// traffic has left its training distribution). DriftSeen distinguishes
-	// a genuine 0 score from a replica with no monitor or no scrape yet.
+	// DriftScore is the replica's latest calibrated drift score, read by
+	// the health probe from its /v1/state (score ≥ threshold means the
+	// replica's live traffic has left its training distribution).
+	// DriftSeen distinguishes a genuine 0 score from a replica with no
+	// calibrated monitor or no probe yet.
 	DriftScore float64 `json:"driftScore,omitempty"`
 	DriftSeen  bool    `json:"driftSeen,omitempty"`
-	// AdaptPhase is the replica's continual-adaptation phase scraped from
-	// /v1/debug/adapt ("" when no controller is attached or no scrape has
-	// landed yet — AdaptSeen distinguishes the two); AdaptWindows is its
-	// completed-window count.
+	// AdaptPhase is the replica's continual-adaptation phase, read by the
+	// health probe from its /v1/state ("" when no controller is attached
+	// or no probe has landed yet — AdaptSeen distinguishes the two);
+	// AdaptWindows is its completed-window count.
 	AdaptPhase   string `json:"adaptPhase,omitempty"`
 	AdaptWindows uint64 `json:"adaptWindows,omitempty"`
 	AdaptSeen    bool   `json:"adaptSeen,omitempty"`
@@ -188,6 +189,12 @@ type ServeState struct {
 	WindowsDone  int     `json:"windowsDone"`
 	Requests     uint64  `json:"requests"`
 	Inflight     int64   `json:"inflight"`
+	// DriftCalibrated reports an attached drift monitor that has calibrated
+	// its null threshold; DriftScore is then its latest normalized score
+	// (the /v1/debug/drift summary's calibrated and score). Both are zero
+	// without a monitor.
+	DriftCalibrated bool    `json:"driftCalibrated,omitempty"`
+	DriftScore      float64 `json:"driftScore,omitempty"`
 	// Continual is the attached adaptation controller's state machine; nil
 	// when the replica serves a frozen snapshot (no controller).
 	Continual *ContinualState `json:"continual,omitempty"`

@@ -203,6 +203,11 @@ func (s *Server) handleState(w http.ResponseWriter, _ *http.Request) {
 		Requests:     m.Requests,
 		Inflight:     m.Inflight,
 	}
+	if mon := s.cfg.Monitor; mon != nil {
+		if sum := mon.Summary(); sum.Calibrated {
+			ss.DriftCalibrated, ss.DriftScore = true, sum.Score
+		}
+	}
 	if rep := s.Adaptation(); rep != nil {
 		ss.Continual = rep.ContinualState()
 	}
@@ -250,16 +255,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.metrics.Snapshot()
 	snap := s.Snapshot()
 	// Per-expert effective match radius: experts with a latent-memory
-	// signature are matchable within routeEps; signature-less experts are
-	// reported at 0 (they can only serve as the fallback). This is the
-	// observable form of -route-eps-scale, whose widening used to be
-	// invisible to operators.
+	// signature are matchable within the radius matching uses, the wider of
+	// routeEps and the expert's calibrated override; signature-less experts
+	// are reported at 0 (they can only serve as the fallback). This is the
+	// observable form of -route-eps-scale and of live-calibrated radii.
 	experts := snap.Experts()
 	epsSamples := make([]httpapi.Sample, 0, len(experts))
-	for _, e := range experts {
+	for i, e := range experts {
 		eps := 0.0
 		if e.Memory != nil {
-			eps = snap.RouteEpsilon()
+			eps = snap.acceptRadius(i, snap.RouteEpsilon())
 		}
 		epsSamples = append(epsSamples, httpapi.Sample{
 			Labels: fmt.Sprintf("expert=%q", strconv.Itoa(e.ID)), Value: eps,

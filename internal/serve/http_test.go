@@ -3,8 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -251,6 +253,38 @@ func TestHTTPV1Surface(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/v1/metrics missing %q in:\n%s", want, text)
 		}
+	}
+
+	// An expert with a calibrated radius wider than the shared one is
+	// matched within that radius, and its gauge must say so.
+	wide, err := LoadSnapshot(tinyCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wideID int
+	for _, e := range wide.Experts() {
+		if e.Memory != nil {
+			wideID = e.ID
+			break
+		}
+	}
+	const wideRadius = 1e6
+	if !wide.SetExpertRadius(wideID, wideRadius) {
+		t.Fatal("SetExpertRadius refused a known expert")
+	}
+	if err := srv.Swap(wide); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	_, _ = buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	want := fmt.Sprintf("shiftex_serve_expert_route_epsilon{expert=%q} %g\n", strconv.Itoa(wideID), float64(wideRadius))
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("/v1/metrics missing the calibrated radius %q in:\n%s", want, buf.String())
 	}
 
 	// /v1/state shares the cross-daemon envelope.

@@ -231,9 +231,9 @@ type WorkItem struct {
 // Workload regenerates the checkpoint run's scenario and extracts the
 // adapted window's test stream — the mixture of clean and injected-shift
 // regimes the snapshot's experts were trained for. Items interleave across
-// parties so consecutive requests hit different experts, the worst case for
-// the per-expert batcher (and, at the gateway, the worst case for
-// consistent-hash locality).
+// parties so consecutive requests hit different experts: every batch splits
+// into several expert groups, and at the gateway this is the worst case for
+// consistent-hash locality.
 func Workload(cp *service.Checkpoint, cfg LoadConfig) ([]WorkItem, error) {
 	cfg = cfg.WithDefaults()
 	parties := len(cp.Aggregator.Assignment)

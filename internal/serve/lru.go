@@ -9,25 +9,100 @@ import (
 	"repro/internal/tensor"
 )
 
-// routeCache is a concurrency-safe LRU from request input to routing
-// decision. It exists to keep the hot path off the embedding network:
-// a repeated input skips the encoder forward pass and the memory scan
-// entirely. Entries carry the snapshot version they were computed against
-// and are ignored (then overwritten) after a hot swap, so a stale cache can
-// never route into a retired snapshot.
-//
-// Keys are FNV-1a hashes of the raw float bits; the full input is kept in
-// the entry and compared on lookup, so hash collisions degrade to misses,
-// never to wrong answers.
-type routeCache struct {
+// LRU is a concurrency-safe least-recently-used map with a fixed capacity.
+// It is the one cache implementation of the request path: the replica's
+// route cache and the gateway's session cache each wrap it with only their
+// own key and version rule. Capacity <= 0 disables it (every Get misses,
+// Put is a no-op).
+type LRU[K comparable, V any] struct {
 	mu  sync.Mutex
 	cap int
-	m   map[uint64]*list.Element
+	m   map[K]*list.Element
 	l   *list.List // front = most recently used
 }
 
+type lruEntry[K comparable, V any] struct {
+	k K
+	v V
+}
+
+// NewLRU builds a cache holding up to capacity entries.
+func NewLRU[K comparable, V any](capacity int) *LRU[K, V] {
+	return &LRU[K, V]{cap: capacity, m: make(map[K]*list.Element), l: list.New()}
+}
+
+// Enabled reports whether the cache stores anything at all (capacity > 0).
+func (c *LRU[K, V]) Enabled() bool { return c.cap > 0 }
+
+// Get returns the value stored under k and marks it most recently used.
+func (c *LRU[K, V]) Get(k K) (V, bool) {
+	var zero V
+	if c.cap <= 0 {
+		return zero, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.m[k]
+	if !ok {
+		return zero, false
+	}
+	c.l.MoveToFront(el)
+	return el.Value.(*lruEntry[K, V]).v, true
+}
+
+// Put stores v under k, overwriting any value already there, and evicts
+// the least recently used entry when full.
+func (c *LRU[K, V]) Put(k K, v V) {
+	if c.cap <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[k]; ok {
+		el.Value.(*lruEntry[K, V]).v = v
+		c.l.MoveToFront(el)
+		return
+	}
+	for c.l.Len() >= c.cap {
+		oldest := c.l.Back()
+		c.l.Remove(oldest)
+		delete(c.m, oldest.Value.(*lruEntry[K, V]).k)
+	}
+	c.m[k] = c.l.PushFront(&lruEntry[K, V]{k: k, v: v})
+}
+
+// Remove deletes k's entry, if any.
+func (c *LRU[K, V]) Remove(k K) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.m[k]; ok {
+		c.l.Remove(el)
+		delete(c.m, k)
+	}
+}
+
+// Len returns the number of cached entries.
+func (c *LRU[K, V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.l.Len()
+}
+
+// routeCache maps a request input to its routing decision. It exists to
+// keep the hot path off the embedding network: a repeated input skips the
+// encoder forward pass and the memory scan entirely. Entries carry the
+// snapshot version they were computed against and are ignored (then
+// overwritten) after a hot swap, so a stale cache can never route into a
+// retired snapshot.
+//
+// Keys are HashInput digests; the full input is kept in the entry and
+// compared on lookup, so hash collisions degrade to misses, never to wrong
+// answers.
+type routeCache struct {
+	lru *LRU[uint64, routeEntry]
+}
+
 type routeEntry struct {
-	key     uint64
 	x       tensor.Vector // cloned input (collision guard)
 	expert  int           // index into Snapshot.Experts()
 	matched bool
@@ -36,12 +111,13 @@ type routeEntry struct {
 
 // newRouteCache builds a cache holding up to capacity decisions;
 // capacity <= 0 disables caching (every lookup misses).
-func newRouteCache(capacity int) *routeCache {
-	return &routeCache{cap: capacity, m: make(map[uint64]*list.Element), l: list.New()}
+func newRouteCache(capacity int) routeCache {
+	return routeCache{NewLRU[uint64, routeEntry](capacity)}
 }
 
-// hashInput is FNV-1a 64 over the float64 bit patterns of x.
-func hashInput(x tensor.Vector) uint64 {
+// HashInput is FNV-1a 64 over the little-endian float64 bit patterns of x:
+// the route cache's key and the gateway's ring key.
+func HashInput(x tensor.Vector) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -59,62 +135,24 @@ func hashInput(x tensor.Vector) uint64 {
 }
 
 // get returns the cached decision for x under the given snapshot version.
-func (c *routeCache) get(x tensor.Vector, version int) (expert int, matched, ok bool) {
-	if c.cap <= 0 {
+func (c routeCache) get(x tensor.Vector, version int) (expert int, matched, ok bool) {
+	if !c.lru.Enabled() {
 		return 0, false, false
 	}
-	key := hashInput(x)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, found := c.m[key]
-	if !found {
+	e, ok := c.lru.Get(HashInput(x))
+	if !ok || e.version != version || !slices.Equal(e.x, x) {
+		// NaN-bearing inputs compare unequal and degrade to misses, which
+		// is safe.
 		return 0, false, false
 	}
-	e := el.Value.(*routeEntry)
-	if e.version != version || !sameInput(e.x, x) {
-		return 0, false, false
-	}
-	c.l.MoveToFront(el)
 	return e.expert, e.matched, true
 }
 
-// put records a routing decision, evicting the least recently used entry
-// when full. A same-key entry is overwritten (this is how post-swap entries
-// replace stale ones).
-func (c *routeCache) put(x tensor.Vector, version, expert int, matched bool) {
-	if c.cap <= 0 {
+// put records a routing decision. A same-key entry is overwritten (this is
+// how post-swap entries replace stale ones).
+func (c routeCache) put(x tensor.Vector, version, expert int, matched bool) {
+	if !c.lru.Enabled() {
 		return
 	}
-	key := hashInput(x)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, found := c.m[key]; found {
-		e := el.Value.(*routeEntry)
-		e.x = x.Clone()
-		e.expert, e.matched, e.version = expert, matched, version
-		c.l.MoveToFront(el)
-		return
-	}
-	for c.l.Len() >= c.cap {
-		oldest := c.l.Back()
-		c.l.Remove(oldest)
-		delete(c.m, oldest.Value.(*routeEntry).key)
-	}
-	c.m[key] = c.l.PushFront(&routeEntry{key: key, x: x.Clone(), expert: expert, matched: matched, version: version})
-}
-
-// enabled reports whether the cache stores anything at all (capacity > 0).
-// A disabled cache turns every request into a bypass, which the metrics
-// count separately from genuine misses.
-func (c *routeCache) enabled() bool { return c.cap > 0 }
-
-// sameInput reports element-equal inputs (NaN-bearing inputs compare
-// unequal and degrade to cache misses, which is safe).
-func sameInput(a, b tensor.Vector) bool { return slices.Equal(a, b) }
-
-// len returns the number of cached decisions.
-func (c *routeCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.l.Len()
+	c.lru.Put(HashInput(x), routeEntry{x: x.Clone(), expert: expert, matched: matched, version: version})
 }

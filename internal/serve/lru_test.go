@@ -42,8 +42,8 @@ func TestRouteCacheBasics(t *testing.T) {
 	if _, _, ok := c.get(a, 2); !ok {
 		t.Fatal("recently used entry must survive")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len=%d, want 2", c.len())
+	if c.lru.Len() != 2 {
+		t.Fatalf("len=%d, want 2", c.lru.Len())
 	}
 }
 
@@ -54,7 +54,7 @@ func TestRouteCacheDisabled(t *testing.T) {
 	if _, _, ok := c.get(x, 1); ok {
 		t.Fatal("disabled cache must always miss")
 	}
-	if c.len() != 0 {
+	if c.lru.Len() != 0 {
 		t.Fatal("disabled cache must stay empty")
 	}
 }
@@ -65,21 +65,18 @@ func TestRouteCacheCollisionGuard(t *testing.T) {
 	c := newRouteCache(4)
 	a := tensor.Vector{1, 2}
 	c.put(a, 1, 7, true)
-	// Forge a colliding entry by inserting under a's slot directly: a
-	// different vector that maps to the same bucket would be caught by
-	// sameInput. Simulate by mutating the stored entry's input.
-	el := c.m[hashInput(a)]
-	el.Value.(*routeEntry).x = tensor.Vector{9, 9}
+	// Forge a colliding entry: a different input stored under a's key.
+	c.lru.Put(HashInput(a), routeEntry{x: tensor.Vector{9, 9}, expert: 7, matched: true, version: 1})
 	if _, _, ok := c.get(a, 1); ok {
 		t.Fatal("mismatched stored input must miss, not return a stale decision")
 	}
 }
 
 func TestHashInputDistinguishesOrder(t *testing.T) {
-	if hashInput(tensor.Vector{1, 2}) == hashInput(tensor.Vector{2, 1}) {
+	if HashInput(tensor.Vector{1, 2}) == HashInput(tensor.Vector{2, 1}) {
 		t.Fatal("hash must depend on element order")
 	}
-	if hashInput(nil) != hashInput(tensor.Vector{}) {
+	if HashInput(nil) != HashInput(tensor.Vector{}) {
 		t.Fatal("nil and empty must hash alike")
 	}
 }

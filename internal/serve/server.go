@@ -21,10 +21,10 @@ import (
 type Config struct {
 	// Workers is the number of prediction workers (default: one per core).
 	Workers int
-	// MaxBatch flushes an expert's queue when it reaches this many requests
+	// MaxBatch flushes a snapshot's queue when it reaches this many requests
 	// (default 32).
 	MaxBatch int
-	// MaxDelay flushes an expert's queue when its oldest request has waited
+	// MaxDelay flushes a snapshot's queue when its oldest request has waited
 	// this long (default 2ms) — the latency cost of batching is bounded by
 	// MaxDelay plus one flush tick.
 	MaxDelay time.Duration
@@ -120,7 +120,7 @@ type outcome struct {
 	class int
 	// expert (an index into snap.Experts()) and matched echo the routing
 	// decision: resolved at admission for cache hits, by the worker's
-	// batched embedding for everything else.
+	// batched embedding of the misses for everything else.
 	expert  int
 	matched bool
 	err     error
@@ -135,7 +135,8 @@ type outcome struct {
 }
 
 // unrouted marks a pending request whose expert is not yet known: the
-// worker routes it (batched through the encoder) before predicting.
+// worker routes it (batched through the encoder with the batch's other
+// misses) before predicting.
 const unrouted = -1
 
 // pending is one admitted request travelling through the pipeline.
@@ -146,23 +147,16 @@ type pending struct {
 	// cache missed and the worker owns the (batched) routing decision.
 	expert  int
 	matched bool
-	cached  bool
 	start   time.Time
 	enq     time.Time    // enqueue instant; zero unless the request is traced
 	done    chan outcome // buffered(1); the worker's send never blocks
 }
 
-// bucketKey identifies a per-expert queue (expert == unrouted keys the
-// shared routing queue). Snapshots are part of the key so a hot swap simply
-// starts new buckets: requests admitted against the old snapshot drain from
-// its buckets onto its (still immutable) models, which is why a swap can
+// bucket accumulates one snapshot's queued requests, cache hits and misses
+// alike, until a flush. Buckets are keyed by snapshot so a hot swap simply
+// starts a new bucket: requests admitted against the old snapshot drain from
+// its bucket onto its (still immutable) models, which is why a swap can
 // never drop or corrupt an in-flight request.
-type bucketKey struct {
-	snap   *Snapshot
-	expert int
-}
-
-// bucket accumulates one expert's queued requests until a flush.
 type bucket struct {
 	reqs   []*pending
 	oldest time.Time
@@ -170,9 +164,8 @@ type bucket struct {
 
 // batchMsg is one flushed batch handed to the worker pool.
 type batchMsg struct {
-	snap   *Snapshot
-	expert int
-	reqs   []*pending
+	snap *Snapshot
+	reqs []*pending
 }
 
 // Server is the shift-aware inference server: an atomically swappable
@@ -181,7 +174,7 @@ type batchMsg struct {
 type Server struct {
 	cfg     Config
 	metrics *Metrics
-	cache   *routeCache
+	cache   routeCache
 
 	snap atomic.Pointer[Snapshot]
 	// swapMu serializes Swap's stamp-then-store sequence so concurrent
@@ -313,25 +306,19 @@ func (s *Server) SwapFromCheckpoint(path string) error {
 func sameArch(a, b []int) bool { return slices.Equal(a, b) }
 
 // Predict serves one request end to end: route (cache or encoder
-// embedding + latent-memory match), enqueue on the expert's micro-batch,
+// embedding + latent-memory match), enqueue on the snapshot's micro-batch,
 // and wait for the worker's prediction. It returns ErrOverloaded without
-// queueing when the pipeline is saturated and ErrClosed after Close.
+// queueing when the pipeline is saturated and ErrClosed after Close. The
+// parent span, if any, comes from ctx.
 func (s *Server) Predict(ctx context.Context, x tensor.Vector) (Result, error) {
-	return s.PredictSpan(ctx, x, telemetry.SpanFromContext(ctx))
+	return s.predictAt(ctx, x, telemetry.SpanFromContext(ctx), time.Time{})
 }
 
-// PredictSpan is Predict with the parent span passed explicitly, for
-// callers (the in-process load generator) that already hold it —
-// skipping the context.WithValue allocation Predict would need to
-// carry the span. A nil parent serves the request untraced.
-func (s *Server) PredictSpan(ctx context.Context, x tensor.Vector, parent *telemetry.Span) (Result, error) {
-	return s.predictAt(ctx, x, parent, time.Time{})
-}
-
-// predictAt is the pipeline entry with the request-start instant supplied
-// by the caller — the in-process load generator already reads the clock for
-// its own latency measurement, and at batched throughput a second read per
-// request is a measurable tax. A zero start is read fresh after the
+// predictAt is the pipeline entry with the parent span and the
+// request-start instant supplied by the caller — the in-process load
+// generator already holds both, and at batched throughput a context value
+// or a second clock read per request is a measurable tax. A nil parent
+// serves the request untraced; a zero start is read fresh after the
 // fast-fail checks (so refused requests never pay for it).
 func (s *Server) predictAt(ctx context.Context, x tensor.Vector, parent *telemetry.Span, start time.Time) (Result, error) {
 	snap := s.snap.Load()
@@ -377,20 +364,20 @@ func (s *Server) predictAt(ctx context.Context, x tensor.Vector, parent *telemet
 
 	// Only the cache is consulted here. On a miss the request is admitted
 	// unrouted and a worker batches it through the encoder — one GEMM for
-	// the whole batch — so the cold path never pays a per-request forward
-	// pass on the caller's goroutine.
+	// the batch's misses — so the cold path never pays a per-request
+	// forward pass on the caller's goroutine.
 	expert, matched, cached := s.cache.get(x, snap.Version)
 	switch {
 	case cached:
 		s.metrics.cacheHits.Add(1)
-	case s.cache.enabled():
+	case s.cache.lru.Enabled():
 		s.metrics.cacheMiss.Add(1)
 		expert = unrouted
 	default:
 		s.metrics.cacheBypass.Add(1)
 		expert = unrouted
 	}
-	p := &pending{x: x, snap: snap, expert: expert, matched: matched, cached: cached, start: start, done: make(chan outcome, 1)}
+	p := &pending{x: x, snap: snap, expert: expert, matched: matched, start: start, done: make(chan outcome, 1)}
 	if tr != nil {
 		routeSpan.SetAttrBool("cache.hit", cached)
 		if cached {
@@ -481,11 +468,11 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// dispatch is the single batching goroutine: it owns the per-expert
-// buckets, flushing each when it reaches MaxBatch requests or its oldest
-// request has waited MaxDelay.
+// dispatch is the single batching goroutine: it owns the per-snapshot
+// buckets (one outside a hot swap), flushing each when it reaches MaxBatch
+// requests or its oldest request has waited MaxDelay.
 func (s *Server) dispatch() {
-	buckets := make(map[bucketKey]*bucket)
+	buckets := make(map[*Snapshot]*bucket)
 	buffered := 0 // requests across all buckets, not yet flushed
 	tick := s.cfg.MaxDelay / 2
 	if tick < 100*time.Microsecond {
@@ -494,14 +481,14 @@ func (s *Server) dispatch() {
 	ticker := time.NewTicker(tick)
 	defer ticker.Stop()
 
-	flush := func(k bucketKey, b *bucket) {
+	flush := func(k *Snapshot, b *bucket) {
 		buffered -= len(b.reqs)
-		s.batches <- batchMsg{snap: k.snap, expert: k.expert, reqs: b.reqs}
+		s.batches <- batchMsg{snap: k, reqs: b.reqs}
 		delete(buckets, k)
 	}
 
 	admit := func(p *pending) {
-		k := bucketKey{snap: p.snap, expert: p.expert}
+		k := p.snap
 		b := buckets[k]
 		if b == nil {
 			capHint := s.cfg.MaxBatch
@@ -588,22 +575,14 @@ func (s *Server) newScratch() *batchScratch {
 	return &batchScratch{bw: nn.NewBatchWorkspaceDims(s.snap.Load().Arch, s.cfg.MaxBatch)}
 }
 
-// worker drains flushed batches. A routed batch (cache hits) runs straight
-// through its expert's batched forward; an unrouted batch is first embedded
-// through the encoder — one GEMM for the whole batch — matched against the
-// latent memories per row, then grouped by chosen expert and predicted
-// group-by-group. Either way every Dense layer runs as one blocked GEMM
-// over the batch instead of a per-sample MatVecInto loop.
+// worker drains flushed batches through routeBatch. Every Dense layer runs
+// as one blocked GEMM over the batch instead of a per-sample MatVecInto
+// loop.
 func (s *Server) worker() {
 	defer s.workers.Done()
 	sc := s.newScratch()
 	for batch := range s.batches {
-		var err error
-		if batch.expert == unrouted {
-			err = s.routeBatch(sc, batch)
-		} else {
-			err = s.predictBatch(sc, batch, batch.reqs)
-		}
+		err := s.routeBatch(sc, batch)
 		s.finish(batch, sc.classes, err)
 		s.metrics.batches.Add(1)
 		s.metrics.batched.Add(uint64(len(batch.reqs)))
@@ -611,71 +590,30 @@ func (s *Server) worker() {
 	}
 }
 
-// predictBatch runs one expert's batched forward over reqs, writing classes
-// into sc.classes[:len(reqs)] in request order.
-func (s *Server) predictBatch(sc *batchScratch, batch batchMsg, reqs []*pending) error {
-	sc.xs = sc.xs[:0]
-	for _, p := range reqs {
-		sc.xs = append(sc.xs, p.x)
-	}
-	sc.classes = grow(sc.classes, len(reqs))
-	model := batch.snap.Experts()[reqs[0].expert].Model
-	return model.PredictBatchWS(sc.bw, sc.xs, sc.classes[:len(reqs)])
-}
-
-// routeBatch embeds the whole unrouted batch through the encoder in one
-// GEMM, matches each row against the expert memories, records the
-// decisions in the route cache, then predicts expert group by expert
-// group. Classes land in sc.classes in request order.
+// routeBatch executes one flushed batch. The rows that missed the route
+// cache are embedded through the encoder in one GEMM, matched against the
+// expert memories, recorded in the route cache and teed into the drift
+// monitor; then every row, cache hits included, is predicted expert group
+// by expert group. Classes land in sc.classes in request order.
 func (s *Server) routeBatch(sc *batchScratch, batch batchMsg) error {
 	reqs := batch.reqs
 	snap := batch.snap
 	sc.xs = sc.xs[:0]
 	for _, p := range reqs {
-		sc.xs = append(sc.xs, p.x)
-	}
-	emb, err := snap.encoder.EmbedBatchWS(sc.bw, sc.xs)
-	if err != nil {
-		return err
-	}
-	// Tee every routed sample into the drift monitor at batch granularity:
-	// Acquire/Add/Offer are non-blocking and allocation-free, and a
-	// saturated monitor costs only a dropped-sample count — never a stall.
-	mon := s.cfg.Monitor
-	var blk *monitor.Block
-	for i, p := range reqs {
-		idx, dist, matched := snap.matchSignature(emb.Row(i))
-		p.expert, p.matched = idx, matched
-		s.cache.put(p.x, snap.Version, idx, matched)
-		if mon == nil {
-			continue
-		}
-		if blk == nil {
-			if blk = mon.Acquire(); blk == nil {
-				mon.NoteDropped(1)
-				continue
-			}
-		}
-		blk.Add(emb.Row(i), snap.experts[idx].ID, dist, matched)
-		if blk.Full() {
-			blk.SetHits(s.metrics.cacheHits.Load())
-			mon.Offer(blk)
-			blk = nil
+		if p.expert == unrouted {
+			sc.xs = append(sc.xs, p.x)
 		}
 	}
-	if blk != nil {
-		if blk.Len() > 0 {
-			blk.SetHits(s.metrics.cacheHits.Load())
-			mon.Offer(blk)
-		} else {
-			mon.Recycle(blk)
+	if len(sc.xs) > 0 {
+		if err := s.routeMisses(sc, snap, reqs); err != nil {
+			return err
 		}
 	}
 
 	// Group requests by routed expert with a counting pass (experts are
 	// few and batches small — a comparison sort would dominate the batch
 	// bookkeeping). Stable by construction: arrival order is preserved
-	// within each expert. The embedding matrix is dead at this point, so
+	// within each expert. Any embedding matrix is dead at this point, so
 	// the same workspace is reused for the expert GEMMs.
 	starts := grow(sc.starts, snap.NumExperts())
 	sc.starts = starts
@@ -715,6 +653,55 @@ func (s *Server) routeBatch(sc *batchScratch, batch batchMsg) error {
 			sc.classes[oi] = sc.groupCl[gi]
 		}
 		lo = hi
+	}
+	return nil
+}
+
+// routeMisses embeds the gathered cache misses (sc.xs, in request order)
+// in one GEMM and resolves each unrouted request's expert from its row.
+func (s *Server) routeMisses(sc *batchScratch, snap *Snapshot, reqs []*pending) error {
+	emb, err := snap.encoder.EmbedBatchWS(sc.bw, sc.xs)
+	if err != nil {
+		return err
+	}
+	// Tee every routed sample into the drift monitor at batch granularity:
+	// Acquire/Add/Offer are non-blocking and allocation-free, and a
+	// saturated monitor costs only a dropped-sample count — never a stall.
+	mon := s.cfg.Monitor
+	var blk *monitor.Block
+	row := 0
+	for _, p := range reqs {
+		if p.expert != unrouted {
+			continue
+		}
+		sig := emb.Row(row)
+		row++
+		idx, dist, matched := snap.matchSignature(sig)
+		p.expert, p.matched = idx, matched
+		s.cache.put(p.x, snap.Version, idx, matched)
+		if mon == nil {
+			continue
+		}
+		if blk == nil {
+			if blk = mon.Acquire(); blk == nil {
+				mon.NoteDropped(1)
+				continue
+			}
+		}
+		blk.Add(sig, snap.experts[idx].ID, dist, matched)
+		if blk.Full() {
+			blk.SetHits(s.metrics.cacheHits.Load())
+			mon.Offer(blk)
+			blk = nil
+		}
+	}
+	if blk != nil {
+		if blk.Len() > 0 {
+			blk.SetHits(s.metrics.cacheHits.Load())
+			mon.Offer(blk)
+		} else {
+			mon.Recycle(blk)
+		}
 	}
 	return nil
 }

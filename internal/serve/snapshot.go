@@ -236,11 +236,7 @@ func (s *Snapshot) Route(ws *nn.Workspace, x tensor.Vector) (idx int, matched bo
 // distance, or the nearest memory's when nothing is admissible (+Inf when no
 // expert has a memory to match).
 func (s *Snapshot) matchSignature(sig tensor.Vector) (idx int, dist float64, matched bool) {
-	eps := s.routeEps
-	if eps == 0 {
-		eps = s.Epsilon
-	}
-	return s.matchAt(sig, eps)
+	return s.matchAt(sig, s.RouteEpsilon())
 }
 
 // matchAt is the admissibility-aware matching core shared by matchSignature
@@ -260,11 +256,7 @@ func (s *Snapshot) matchAt(sig tensor.Vector, eps float64) (idx int, dist float6
 		if d < anyDist {
 			anyDist = d
 		}
-		thr := eps
-		if s.radii != nil && s.radii[i] > thr {
-			thr = s.radii[i]
-		}
-		if d <= thr && d < admDist {
+		if d <= s.acceptRadius(i, eps) && d < admDist {
 			admIdx, admDist = i, d
 		}
 	}
@@ -272,6 +264,15 @@ func (s *Snapshot) matchAt(sig tensor.Vector, eps float64) (idx int, dist float6
 		return admIdx, admDist, true
 	}
 	return s.fallback, anyDist, false
+}
+
+// acceptRadius is expert i's acceptance threshold under the shared radius
+// eps: its calibrated override when that is wider.
+func (s *Snapshot) acceptRadius(i int, eps float64) float64 {
+	if s.radii != nil && s.radii[i] > eps {
+		return s.radii[i]
+	}
+	return eps
 }
 
 // MatchEmbedding resolves an already-computed embedding against the expert

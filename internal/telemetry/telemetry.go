@@ -15,7 +15,7 @@
 // The enabled path is built to be allocation-free: hot paths start
 // spans in stack storage via Tracer.BeginAt, End copies the finished
 // record into a preallocated ring slot, and span timestamps reuse
-// instants the caller already measured (StartSpanAt/EndAt). The
+// instants the caller already measured (BeginAt/EndAt). The
 // serving benchmark (BENCH_tracing.json) gates the enabled path at
 // <=5% throughput overhead.
 package telemetry
@@ -275,25 +275,13 @@ func (t *Tracer) StartSpan(name string, parent SpanContext) *Span {
 	if t == nil {
 		return nil
 	}
-	return t.StartSpanAt(name, parent, time.Now())
-}
-
-// StartSpanAt is StartSpan with a caller-supplied start instant. Hot
-// paths that already hold a fresh time.Now() (request entry, latency
-// bookkeeping) pass it in to avoid a second clock read — on paravirt
-// clocks a read costs tens of nanoseconds, comparable to the rest of
-// a span's bookkeeping put together.
-func (t *Tracer) StartSpanAt(name string, parent SpanContext, start time.Time) *Span {
-	if t == nil {
-		return nil
-	}
 	s := &Span{}
-	t.BeginAt(s, name, parent, start)
+	t.BeginAt(s, name, parent, time.Now())
 	return s
 }
 
 // BeginAt starts a span in place in caller-owned storage, typically a
-// stack variable — the zero-allocation form of StartSpanAt for the
+// stack variable — the zero-allocation form of StartSpan for the
 // request hot path (End copies the record into the ring, so the ring
 // never references s and the compiler keeps s off the heap):
 //
@@ -330,11 +318,6 @@ func (t *Tracer) BeginAt(s *Span, name string, parent SpanContext, start time.Ti
 
 // StartRoot starts a span that roots a fresh trace.
 func (t *Tracer) StartRoot(name string) *Span { return t.StartSpan(name, SpanContext{}) }
-
-// StartRootAt starts a root span at a caller-supplied instant.
-func (t *Tracer) StartRootAt(name string, start time.Time) *Span {
-	return t.StartSpanAt(name, SpanContext{}, start)
-}
 
 // SetActive publishes an ambient span context for ctx-less call paths
 // (the fl wire). ClearActive removes it.
@@ -449,11 +432,6 @@ func (s *Span) Context() SpanContext {
 	return SpanContext{TraceID: s.rec.TraceID, SpanID: s.rec.SpanID}
 }
 
-// Traced reports whether the span is live (non-nil and started on a
-// tracer) — the hot-path guard for value Spans, where a nil check
-// alone cannot distinguish a zero Span.
-func (s *Span) Traced() bool { return s != nil && s.tracer != nil }
-
 // Tracer returns the tracer the span records to, or nil for a nil or
 // zero span. Hot paths use it to Begin child spans in caller-owned
 // storage.
@@ -470,14 +448,6 @@ func (s *Span) Child(name string) *Span {
 		return nil
 	}
 	return s.tracer.StartSpan(name, s.Context())
-}
-
-// ChildAt starts a child span at a caller-supplied instant.
-func (s *Span) ChildAt(name string, start time.Time) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.tracer.StartSpanAt(name, s.Context(), start)
 }
 
 // SetAttr records a string attribute. Must not be called concurrently
